@@ -19,13 +19,31 @@ MAX_HOST_5PATTERN = 512
 
 
 def max_clique(g: Graph) -> tuple[int, frozenset[int]]:
-    """Maximum clique size and one witness (branch and bound, colour bound)."""
+    """Maximum clique size and one witness (branch and bound, colour bound).
+
+    The search runs on a relabelled copy in non-increasing degree order,
+    ties to the lower id (Tomita & Seki's MCQ initial order): vertices that
+    see almost everything take the first greedy colours, so they are
+    branched on last and pruned at once.
+    """
     if g.n > MAX_CLIQUE_N:
         raise PreconditionError(f"max_clique limited to n <= {MAX_CLIQUE_N}, got {g.n}")
     if g.n == 0:
         return 0, frozenset()
-    adj = g.adj
-    best_mask = 1  # vertex 0 alone; any vertex is a 1-clique
+    by_degree = sorted(range(g.n), key=[-row.bit_count() for row in g.adj].__getitem__)
+    label = [0] * g.n
+    for new, old in enumerate(by_degree):
+        label[old] = 1 << new
+    adj = []
+    for old in by_degree:
+        row = 0
+        rest = g.adj[old]
+        while rest:
+            low = rest & -rest
+            row |= label[low.bit_length() - 1]
+            rest ^= low
+        adj.append(row)
+    best_mask = 1  # relabelled vertex 0 alone; any vertex is a 1-clique
     best_size = 1
 
     def expand(r_mask: int, r_size: int, cand: int) -> None:
@@ -59,7 +77,7 @@ def max_clique(g: Graph) -> tuple[int, frozenset[int]]:
             cand &= ~(1 << v)
 
     expand(0, 0, g.vertex_mask)
-    return best_size, frozenset(bits(best_mask))
+    return best_size, frozenset(by_degree[v] for v in bits(best_mask))
 
 
 def independence_number(g: Graph) -> tuple[int, frozenset[int]]:
@@ -112,7 +130,9 @@ def chromatic_number(g: Graph, max_n: int = MAX_CHROMATIC_N) -> tuple[int, tuple
     Branch and bound over colour classes: vertices are coloured in a fixed
     order, each with an already-used colour or one fresh colour.  A maximum
     clique is pre-coloured (sound symmetry breaking), and the search stops as
-    soon as the clique/size lower bound is met.
+    soon as the lower bound is met: the clique size, or u + ceil((n - u) /
+    alpha) for u universal vertices, since each of those needs a colour of
+    its own and every other colour class is an independent set.
     """
     if g.n > max_n:
         raise PreconditionError(f"chromatic_number limited to n <= {max_n}, got {g.n}")
@@ -120,7 +140,8 @@ def chromatic_number(g: Graph, max_n: int = MAX_CHROMATIC_N) -> tuple[int, tuple
         return 0, ()
     omega, clique = max_clique(g)
     alpha, _ = independence_number(g)
-    lower = max(omega, -(-g.n // alpha))
+    u = sum(1 for row in g.adj if row.bit_count() == g.n - 1)
+    lower = max(omega, u + -(-(g.n - u) // alpha))
 
     colour = [-1] * g.n
     clique_sorted = sorted(clique)

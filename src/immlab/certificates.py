@@ -81,7 +81,7 @@ def _check_paths(g: Graph, branch: tuple[int, ...],
         if key not in legal_keys:
             return _bad("structural", f"unexpected path key {key}")
         for x in walk:
-            if not (isinstance(x, int) and 0 <= x < g.n):
+            if not (type(x) is int and 0 <= x < g.n):
                 return _bad("structural", f"walk vertex {x!r} out of range in path {key}")
 
     # Condition I: every required pair is joined by a genuine path.
@@ -119,7 +119,7 @@ def _check_paths(g: Graph, branch: tuple[int, ...],
 
 def _check_branch(g: Graph, branch: tuple[int, ...]) -> Verdict | None:
     for v in branch:
-        if not (isinstance(v, int) and 0 <= v < g.n):
+        if not (type(v) is int and 0 <= v < g.n):
             return _bad("structural", f"branch vertex {v!r} out of range")
     if len(set(branch)) != len(branch):
         return _bad("structural", f"branch vertices not distinct: {branch}")
@@ -329,18 +329,18 @@ def certificate_from_json(text: str) -> ImmersionCertificate:
     raw_paths = doc.get("paths")
     if not isinstance(host_hash, str):
         raise ValueError("'graph_sha256' must be a string")
-    if not (isinstance(branch, list) and all(isinstance(v, int) for v in branch)):
+    if not (isinstance(branch, list) and all(type(v) is int for v in branch)):
         raise ValueError("'branch' must be a list of ints")
-    if order != len(branch):
+    if type(order) is not int or order != len(branch):
         raise ValueError(f"'order' is {order} but branch lists {len(branch)} vertices")
     if not isinstance(raw_paths, list):
         raise ValueError("'paths' must be a list")
     paths: dict[Pair, Walk] = {}
     for entry in raw_paths:
-        if not (isinstance(entry, dict) and isinstance(entry.get("u"), int)
-                and isinstance(entry.get("v"), int)
+        if not (isinstance(entry, dict) and type(entry.get("u")) is int
+                and type(entry.get("v")) is int
                 and isinstance(entry.get("walk"), list)
-                and all(isinstance(x, int) for x in entry["walk"])):
+                and all(type(x) is int for x in entry["walk"])):
             raise ValueError(f"malformed path entry {entry!r}")
         u, v = entry["u"], entry["v"]
         if u >= v:

@@ -4,7 +4,8 @@ generate instances, and run the stress suites.
 Exit codes: 0 success; 1 a certificate failed verification; 2 invalid input
 or unmet precondition (including certificate/graph hash mismatch); 3 a
 structural claim failed on an input that should satisfy it (a violation
-document is written next to the input); 4 search budget exceeded.
+document is written next to the input); 4 search budget exceeded; 5 internal
+error (a bug in immlab; the traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import argparse
 import json
 import sys
 import time
+import traceback
 from pathlib import Path
 
 from .analysis import (
@@ -67,6 +69,7 @@ EXIT_VERIFY_FAILED = 1
 EXIT_BAD_INPUT = 2
 EXIT_CLAIM_VIOLATION = 3
 EXIT_BUDGET = 4
+EXIT_INTERNAL = 5
 
 
 # -- plumbing ------------------------------------------------------------------
@@ -368,6 +371,10 @@ def main(argv: list[str] | None = None) -> int:
     except (PreconditionError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
+    except Exception:
+        print("internal error:", file=sys.stderr)
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -170,12 +170,12 @@ def graph_from_doc(doc: object) -> Graph:
         raise ValueError(f"not a {GRAPH_FORMAT} document")
     n = doc.get("n")
     edges = doc.get("edges")
-    if not isinstance(n, int) or not isinstance(edges, list):
+    if type(n) is not int or not isinstance(edges, list):
         raise ValueError("graph document needs integer 'n' and list 'edges'")
     pairs = []
     for e in edges:
         if not (isinstance(e, list) and len(e) == 2
-                and all(isinstance(x, int) for x in e)):
+                and all(type(x) is int for x in e)):
             raise ValueError(f"malformed edge entry {e!r}")
         pairs.append((e[0], e[1]))
     return Graph.from_edges(n, pairs)

@@ -51,7 +51,7 @@ class InflationSpec:
         if len(self.sizes) != self.base.n:
             raise ValueError(f"{len(self.sizes)} bag sizes for {self.base.n} base vertices")
         for s in self.sizes:
-            if not (isinstance(s, int) and s >= 1):
+            if not (type(s) is int and s >= 1):
                 raise ValueError(f"bag sizes must be positive ints, got {s!r}")
 
 
@@ -91,7 +91,7 @@ def inflation_from_json(text: str) -> InflationSpec:
         raise ValueError(f"not a {INFLATION_FORMAT} document")
     base = graph_from_doc(doc.get("base"))
     f = doc.get("f")
-    if not (isinstance(f, list) and all(isinstance(s, int) for s in f)):
+    if not (isinstance(f, list) and all(type(s) is int for s in f)):
         raise ValueError("'f' must be a list of ints")
     return InflationSpec(base, tuple(f))
 

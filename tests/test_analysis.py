@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -27,7 +29,7 @@ from immlab.graphs import (
     path_graph,
     pattern,
 )
-from immlab.inflation import inflate
+from immlab.inflation import cycle_inflation_chromatic, inflate
 
 from conftest import (
     graphs,
@@ -64,6 +66,31 @@ def test_max_clique_witness_is_a_clique():
 @settings(max_examples=60)
 def test_max_clique_agrees_with_enumeration(g):
     assert max_clique(g)[0] == ref_max_clique_size(g)
+
+
+def c5_inflation_join(bag: int, top: Graph) -> Graph:
+    core, _ = inflate(cycle_graph(5), (bag,) * 5)
+    return join(core, top)
+
+
+def complete_minus_perfect_matching(n: int) -> Graph:
+    return Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                if not (u % 2 == 0 and v == u + 1)])
+
+
+@pytest.mark.parametrize("g, omega", [
+    # C5[K20] joined to K20: 20 universal vertices over an odd-cycle colour gap.
+    (c5_inflation_join(20, complete_graph(20)), 60),
+    # C5[K16] joined to K16 minus a perfect matching: no universal vertex.
+    (c5_inflation_join(16, complete_minus_perfect_matching(16)), 40),
+], ids=["C5[K20]+K20", "C5[K16]+K16-M"])
+def test_max_clique_fast_on_hole_free_joins(g, omega):
+    start = time.perf_counter()
+    size, witness = max_clique(g)
+    elapsed = time.perf_counter() - start
+    assert size == omega and len(witness) == omega
+    assert g.is_clique(mask_of(witness))
+    assert elapsed < 2.0, f"max_clique took {elapsed:.2f}s on n={g.n}"
 
 
 def test_independence_number_known_values():
@@ -114,6 +141,21 @@ def test_chromatic_colouring_is_proper():
 @settings(max_examples=50)
 def test_chromatic_agrees_with_backtracking(g):
     assert chromatic_number(g)[0] == ref_chromatic_number(g)
+
+
+def test_chromatic_counts_universal_vertices():
+    g = c5_inflation_join(4, complete_graph(4))
+    chi, colouring = chromatic_number(g)
+    assert chi == cycle_inflation_chromatic((4,) * 5)[0] + 4 == 14
+    assert all(colouring[u] != colouring[v] for u, v in g.edges())
+
+
+@given(graphs(max_n=7), st.integers(min_value=0, max_value=3))
+@settings(max_examples=60)
+def test_clique_and_chromatic_of_joins_with_cliques(g, u):
+    h = join(g, complete_graph(u))
+    assert max_clique(h)[0] == ref_max_clique_size(g) + u
+    assert chromatic_number(h)[0] == ref_chromatic_number(g) + u
 
 
 def test_find_induced_embedding_known_hits():

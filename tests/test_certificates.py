@@ -157,6 +157,26 @@ def test_certificate_json_rejections():
         certificate_from_json(json.dumps(bad))
 
 
+def test_certificate_json_rejects_booleans_for_integers():
+    g = complete_graph(2)
+    doc = json.loads(certificate_to_json(direct_clique_certificate(g, [0, 1])))
+    for bad in (dict(doc, branch=[False, True]),
+                dict(doc, paths=[{"u": 0, "v": 1, "walk": [False, True]}]),
+                dict(doc, paths=[{"u": False, "v": 1, "walk": [0, 1]}]),
+                dict(doc, paths=[{"u": 0, "v": True, "walk": [0, 1]}]),
+                dict(doc, order=True, branch=[0], paths=[])):
+        with pytest.raises(ValueError):
+            certificate_from_json(json.dumps(bad))
+
+
+def test_verifier_rejects_booleans_for_vertices():
+    g = complete_graph(2)
+    bool_branch = ImmersionCertificate(g.sha256(), (False, True), {(0, 1): (0, 1)})
+    assert verify_certificate(g, bool_branch).reason == "structural"
+    bool_walk = ImmersionCertificate(g.sha256(), (0, 1), {(0, 1): (False, True)})
+    assert verify_certificate(g, bool_walk).reason == "structural"
+
+
 def test_trim_keeps_lowest_branch_vertices():
     g = complete_graph(6)
     cert = direct_clique_certificate(g, range(6))

@@ -215,6 +215,20 @@ def test_budget_exceeded_exit_code(tmp_path, capsys, monkeypatch):
     assert err.strip()
 
 
+def test_internal_error_has_its_own_exit_code(tmp_path, capsys, monkeypatch):
+    path = write_c5(tmp_path)
+
+    def boom(g, method):
+        raise AssertionError("constructed certificate failed verification")
+
+    monkeypatch.setattr(cli, "_solve_with_method", boom)
+    code, _, err = run(capsys, ["solve", str(path)])
+    assert code == cli.EXIT_INTERNAL == 5
+    assert code != cli.EXIT_VERIFY_FAILED
+    assert err.startswith("internal error:")
+    assert "AssertionError: constructed certificate failed verification" in err
+
+
 def test_missing_file_is_bad_input(capsys):
     code, _, err = run(capsys, ["analyze", "/nonexistent/graph.json"])
     assert code == cli.EXIT_BAD_INPUT and err.strip()

@@ -85,6 +85,14 @@ def test_json_round_trip_and_validation():
         graph_from_json('{"format":"immlab-graph-v1","n":2,"edges":[[0,2]]}')
 
 
+def test_json_rejects_booleans_for_integers():
+    # JSON true would otherwise pass as 1 and hash differently from n = 1.
+    with pytest.raises(ValueError):
+        graph_from_json('{"format":"immlab-graph-v1","n":true,"edges":[]}')
+    with pytest.raises(ValueError):
+        graph_from_json('{"format":"immlab-graph-v1","n":2,"edges":[[false,true]]}')
+
+
 def test_complement_of_c5_is_a_5_cycle():
     h = cycle_graph(5).complement()
     assert h.edge_count() == 5

@@ -64,6 +64,14 @@ def test_inflation_spec_validates_sizes():
         InflationSpec(cycle_graph(3), (1, 0, 1))
 
 
+def test_inflation_rejects_boolean_bag_sizes():
+    with pytest.raises(ValueError):
+        inflation_from_json('{"format":"immlab-inflation-v1","base":{"format":'
+                            '"immlab-graph-v1","n":1,"edges":[]},"f":[true]}')
+    with pytest.raises(ValueError):
+        InflationSpec(cycle_graph(3), (1, True, 1))
+
+
 def test_inflate_path_small_fixed():
     g, bags = inflate(path_graph(4), (2, 2, 2, 2))
     cert = inflate_path(g, bags)

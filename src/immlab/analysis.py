@@ -7,6 +7,8 @@ share code with it.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 from .errors import PreconditionError
 from .graphs import Graph, bits
 
@@ -124,22 +126,49 @@ def _greedy_colouring(g: Graph) -> list[int]:
     return colour
 
 
-def chromatic_number(g: Graph, max_n: int = MAX_CHROMATIC_N) -> tuple[int, tuple[int, ...]]:
-    """Exact chromatic number with a proper-colouring witness.
+class CliqueProfile(NamedTuple):
+    """alpha and omega with witnesses; chi with a colouring, or None for both
+    when n is 0 or above MAX_CHROMATIC_N."""
 
-    Branch and bound over colour classes: vertices are coloured in a fixed
+    alpha: int
+    alpha_witness: frozenset[int]
+    omega: int
+    omega_witness: frozenset[int]
+    chi: int | None
+    colouring: tuple[int, ...] | None
+
+
+def clique_profile(g: Graph) -> CliqueProfile:
+    """alpha, omega and (for 0 < n <= MAX_CHROMATIC_N) chi, each clique
+    search run once: chi's bounds reuse the alpha and omega found here."""
+    alpha, alpha_set = independence_number(g)
+    omega, clique = max_clique(g)
+    chi, colouring = None, None
+    if 0 < g.n <= MAX_CHROMATIC_N:
+        chi, colouring = _colour(g, alpha, omega, clique)
+    return CliqueProfile(alpha, alpha_set, omega, clique, chi, colouring)
+
+
+def chromatic_number(g: Graph) -> tuple[int, tuple[int, ...]]:
+    """Exact chromatic number with a proper-colouring witness (n <= MAX_CHROMATIC_N)."""
+    if g.n > MAX_CHROMATIC_N:
+        raise PreconditionError(
+            f"chromatic_number limited to n <= {MAX_CHROMATIC_N}, got {g.n}")
+    if g.n == 0:
+        return 0, ()
+    profile = clique_profile(g)
+    return profile.chi, profile.colouring
+
+
+def _colour(g: Graph, alpha: int, omega: int, clique: frozenset[int]
+            ) -> tuple[int, tuple[int, ...]]:
+    """Branch and bound over colour classes: vertices are coloured in a fixed
     order, each with an already-used colour or one fresh colour.  A maximum
     clique is pre-coloured (sound symmetry breaking), and the search stops as
     soon as the lower bound is met: the clique size, or u + ceil((n - u) /
     alpha) for u universal vertices, since each of those needs a colour of
     its own and every other colour class is an independent set.
     """
-    if g.n > max_n:
-        raise PreconditionError(f"chromatic_number limited to n <= {max_n}, got {g.n}")
-    if g.n == 0:
-        return 0, ()
-    omega, clique = max_clique(g)
-    alpha, _ = independence_number(g)
     u = sum(1 for row in g.adj if row.bit_count() == g.n - 1)
     lower = max(omega, u + -(-(g.n - u) // alpha))
 

@@ -11,6 +11,7 @@ traceback -- while any other exception is a plain bug and propagates.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from typing import Callable
 
 from .certificates import lift_certificate, verify_certificate
@@ -105,14 +106,7 @@ def case_forbholes(seed: int) -> dict:
     return _run_case("forbholes", seed, body)
 
 
-def _dominating_case(seed: int, suite: str) -> dict:
-    family = {"dominating-c4": dominating_c4_family,
-              "dominating-c5": dominating_c5_family,
-              "dominating-p4": dominating_p4_family}[suite]
-    extend = {"dominating-c4": extend_over_dominating_c4,
-              "dominating-c5": extend_over_dominating_c5,
-              "dominating-p4": extend_over_dominating_p4}[suite]
-
+def _dominating_case(suite: str, family: Callable, extend: Callable, seed: int) -> dict:
     def body() -> dict:
         rng = Rng(seed)
         n = 6 + rng.below(7)
@@ -130,32 +124,12 @@ def _dominating_case(seed: int, suite: str) -> dict:
     return _run_case(suite, seed, body)
 
 
-def case_dominating_c4(seed: int) -> dict:
-    return _dominating_case(seed, "dominating-c4")
-
-
-def case_dominating_c5(seed: int) -> dict:
-    return _dominating_case(seed, "dominating-c5")
-
-
-def case_dominating_p4(seed: int) -> dict:
-    return _dominating_case(seed, "dominating-p4")
-
-
-def case_house_free(seed: int) -> dict:
+def _pattern_free_case(suite: str, pattern_name: str, route: Callable, seed: int) -> dict:
     def body() -> dict:
         rng = Rng(seed)
-        g = random_hfree_alpha2("house", 5 + rng.below(6), rng.next64())
-        return _checked(g, house_free_immersion(g), half_ceil(g.n))
-    return _run_case("house-free", seed, body)
-
-
-def case_owh_free(seed: int) -> dict:
-    def body() -> dict:
-        rng = Rng(seed)
-        g = random_hfree_alpha2("owh", 5 + rng.below(6), rng.next64())
-        return _checked(g, owh_free_immersion(g), half_ceil(g.n))
-    return _run_case("owh-free", seed, body)
+        g = random_hfree_alpha2(pattern_name, 5 + rng.below(6), rng.next64())
+        return _checked(g, route(g), half_ceil(g.n))
+    return _run_case(suite, seed, body)
 
 
 def case_patterns(seed: int) -> dict:
@@ -215,11 +189,14 @@ SUITES: dict[str, Callable[[int], dict]] = {
     "path-inflation": case_path_inflation,
     "cycle-inflation": case_cycle_inflation,
     "forbholes": case_forbholes,
-    "dominating-c4": case_dominating_c4,
-    "dominating-c5": case_dominating_c5,
-    "dominating-p4": case_dominating_p4,
-    "house-free": case_house_free,
-    "owh-free": case_owh_free,
+    "dominating-c4": partial(_dominating_case, "dominating-c4", dominating_c4_family,
+                             extend_over_dominating_c4),
+    "dominating-c5": partial(_dominating_case, "dominating-c5", dominating_c5_family,
+                             extend_over_dominating_c5),
+    "dominating-p4": partial(_dominating_case, "dominating-p4", dominating_p4_family,
+                             extend_over_dominating_p4),
+    "house-free": partial(_pattern_free_case, "house-free", "house", house_free_immersion),
+    "owh-free": partial(_pattern_free_case, "owh-free", "owh", owh_free_immersion),
     "patterns": case_patterns,
     "oracle-agree": case_oracle_agree,
     "two-clique": case_two_clique,

@@ -20,11 +20,9 @@ from pathlib import Path
 from .analysis import (
     MAX_CHROMATIC_N,
     MAX_CLIQUE_N,
-    chromatic_number,
+    clique_profile,
     find_hole_in_range,
     find_induced,
-    independence_number,
-    max_clique,
 )
 from .bench import ALL_SUITES, run_suite
 from .certificates import (
@@ -34,16 +32,7 @@ from .certificates import (
     ordered_pair,
     verify_certificate,
 )
-from .construct import (
-    auto_immersion,
-    half_ceil,
-    hole_free_immersion,
-    house_free_immersion,
-    k4_free_immersion,
-    k4minus_free_clique,
-    owh_free_immersion,
-    pattern_free_immersion,
-)
+from .construct import METHODS, auto_immersion, half_ceil
 from .errors import BudgetExceeded, ClaimViolation, PreconditionError
 from .gen import (
     dominating_c4_family,
@@ -62,7 +51,6 @@ from .graphs import (
     pattern,
 )
 from .inflation import inflate, inflation_to_json
-from .oracle import max_immersion_order
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -70,6 +58,9 @@ EXIT_BAD_INPUT = 2
 EXIT_CLAIM_VIOLATION = 3
 EXIT_BUDGET = 4
 EXIT_INTERNAL = 5
+
+#: Every ``solve --method`` token: ``auto`` picks among the table's routes.
+METHOD_TOKENS = ("auto", *METHODS)
 
 
 # -- plumbing ------------------------------------------------------------------
@@ -140,22 +131,16 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         "max_degree": max(degrees) if degrees else None,
     }
     if g.n <= MAX_CLIQUE_N:
-        alpha, alpha_set = independence_number(g)
-        omega, omega_set = max_clique(g)
-        report["alpha"] = alpha
-        report["alpha_witness"] = sorted(alpha_set)
-        report["omega"] = omega
-        report["omega_witness"] = sorted(omega_set)
-        hole = find_hole_in_range(g, 4, max(4, 2 * alpha)) if g.n else None
+        p = clique_profile(g)
+        report["alpha"] = p.alpha
+        report["alpha_witness"] = sorted(p.alpha_witness)
+        report["omega"] = p.omega
+        report["omega_witness"] = sorted(p.omega_witness)
+        hole = find_hole_in_range(g, 4, max(4, 2 * p.alpha)) if g.n else None
         report["short_hole"] = list(hole) if hole else None
+        report["chi"] = p.chi
     else:
-        report["alpha"] = None
-        report["omega"] = None
-    if g.n and g.n <= MAX_CHROMATIC_N:
-        chi, _ = chromatic_number(g)
-        report["chi"] = chi
-    else:
-        report["chi"] = None
+        report.update(alpha=None, omega=None, chi=None)
     induced: dict = {}
     for name in FOUR_VERTEX_PATTERNS + ("house", "owh"):
         try:
@@ -174,23 +159,11 @@ def _solve_with_method(g: Graph, method: str):
     if method == "auto":
         token, cert = auto_immersion(g)
         return token, cert, None
-    if method == "forbholes":
-        return method, hole_free_immersion(g), None
-    if method == "house":
-        return method, house_free_immersion(g), None
-    if method == "owh":
-        return method, owh_free_immersion(g), None
-    if method == "k4":
-        return method, k4_free_immersion(g), None
-    if method == "k4minus":
-        cert, parts = k4minus_free_clique(g)
-        return method, cert, parts
-    if method == "oracle":
-        _, cert = max_immersion_order(g)
-        return method, cert, None
-    if method.startswith("vergara:"):
-        return method, pattern_free_immersion(g, method.split(":", 1)[1]), None
-    raise ValueError(f"unknown method {method!r}")
+    if method not in METHODS:
+        raise ValueError(
+            f"unknown method {method!r}; known: {', '.join(METHOD_TOKENS)}")
+    cert, parts = METHODS[method](g)
+    return method, cert, parts
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
@@ -212,10 +185,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     if parts is not None:
         report["partition"] = [sorted(parts[0]), sorted(parts[1])]
     if g.n and g.n <= MAX_CHROMATIC_N:
-        alpha, _ = independence_number(g)
-        omega, _ = max_clique(g)
-        chi, _ = chromatic_number(g)
-        report.update(alpha=alpha, omega=omega, chi=chi)
+        p = clique_profile(g)
+        report.update(alpha=p.alpha, omega=p.omega, chi=p.chi)
     if args.cert:
         _write_text(args.cert, certificate_to_json(cert))
     if args.dot:
@@ -308,9 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps = sub.add_parser("solve", help="construct an immersion certificate")
     ps.add_argument("graph", help="graph file, or - for stdin")
     add_format(ps)
-    ps.add_argument("--method", default="auto",
-                    help="auto | forbholes | house | owh | k4 | k4minus | "
-                         "vergara:<pattern> | oracle")
+    ps.add_argument("--method", default="auto", help=" | ".join(METHOD_TOKENS))
     ps.add_argument("--cert", help="write the certificate JSON to this file")
     ps.add_argument("--dot", help="write a DOT rendering to this file")
     ps.set_defaults(func=_cmd_solve)

@@ -16,16 +16,22 @@ The routines and their guarantees:
 * ``k4minus_free_clique``      -- K4-minus-an-edge-free, alpha <= 2: a two-clique
                                   partition (when one exists) and a ceil(n/2) clique.
 * ``pattern_free_immersion``   -- any one 4-vertex pattern excluded: ceil(n/2).
+* ``auto_immersion``           -- the first excluded 4-vertex pattern's route,
+                                  else the exhaustive oracle.
 * ``extend_over_dominating_*`` -- the inductive steps, usable directly: given a
                                   dominating induced C4 / C5 / P4 and a certificate
                                   for the graph minus four vertices, two more branch
                                   vertices are attached through the removed part.
+
+Each public route checks its preconditions once, then calls a private
+builder; callers that have proved a builder's precondition call it directly.
 """
 
 from __future__ import annotations
 
 import logging
 from itertools import combinations, permutations
+from typing import Callable
 
 from .analysis import (
     chordal_peo,
@@ -54,6 +60,9 @@ from .inflation import cycle_inflation_chromatic, inflate_cycle
 from .oracle import OracleBudget, brute_force_immersion, max_immersion_order
 
 log = logging.getLogger(__name__)
+
+#: A partition of the vertex set into two cliques (the second may be empty).
+TwoCliques = tuple[frozenset[int], frozenset[int]]
 
 
 def half_ceil(n: int) -> int:
@@ -134,8 +143,8 @@ def _emit(g: Graph, paths: dict[Pair, Walk], walk: list[int]) -> None:
     paths[key] = tuple(walk) if walk[0] == key[0] else tuple(reversed(walk))
 
 
-def _escape_clique(g: Graph, v: int) -> ImmersionCertificate:
-    """The non-neighbourhood of v, which must be a ceil(n/2)-clique here."""
+def _clique_non_neighbours(g: Graph, v: int) -> int:
+    """The non-neighbourhood of v, which independence <= 2 makes a clique."""
     nbar = g.non_neighbors(v)
     for u in bits(nbar):
         gap = nbar & ~g.adj[u] & ~(1 << u)
@@ -145,6 +154,12 @@ def _escape_clique(g: Graph, v: int) -> ImmersionCertificate:
                 "two common non-neighbours are themselves non-adjacent "
                 "(independence number exceeds 2)",
                 graph=g, context={"triple": (v, u, w)})
+    return nbar
+
+
+def _escape_clique(g: Graph, v: int) -> ImmersionCertificate:
+    """The non-neighbourhood of v, which must be a ceil(n/2)-clique here."""
+    nbar = _clique_non_neighbours(g, v)
     need = half_ceil(g.n)
     members = sorted(bits(nbar))
     if len(members) < need:
@@ -152,6 +167,23 @@ def _escape_clique(g: Graph, v: int) -> ImmersionCertificate:
             "overloaded vertex's non-neighbourhood is too small",
             graph=g, context={"vertex": v, "non_neighbours": members, "need": need})
     return trim_certificate(direct_clique_certificate(g, members), need)
+
+
+def _base_case(g: Graph) -> ImmersionCertificate | None:
+    """The shared ends of the recursive routes, at order exactly ceil(n/2):
+    a maximum clique when n <= 4, and a complete graph.  None when g is
+    neither."""
+    n = g.n
+    need = half_ceil(n)
+    if n <= 4:
+        omega, clique = max_clique(g)
+        if omega < need:
+            raise ClaimViolation("tiny graph with independence <= 2 lacks a "
+                                 "half-order clique", graph=g)
+        return trim_certificate(direct_clique_certificate(g, clique), need)
+    if all(g.degree(v) == n - 1 for v in range(n)):
+        return trim_certificate(direct_clique_certificate(g, range(n)), need)
+    return None
 
 
 def _cycle_k3(g: Graph, cycle: tuple[int, ...]) -> ImmersionCertificate:
@@ -166,7 +198,7 @@ def _cycle_k3(g: Graph, cycle: tuple[int, ...]) -> ImmersionCertificate:
 # -- hole-free graphs: immersion of K_chi --------------------------------------------
 
 
-def hole_free_immersion(g: Graph, alpha: int | None = None) -> ImmersionCertificate:
+def hole_free_immersion(g: Graph) -> ImmersionCertificate:
     """K_{chi(g)} immersion for graphs with no hole of length in [4, 2*alpha].
 
     Any hole longer than 2*alpha+1 would contain too big an independent set,
@@ -177,20 +209,22 @@ def hole_free_immersion(g: Graph, alpha: int | None = None) -> ImmersionCertific
     it is trimmed to the inflation's exact chromatic number, and the
     universal vertices join as direct branch vertices -- total order
     chi(inflation) + #universals = chi(g).
-
-    ``alpha`` may be passed by callers that already know the independence
-    number; otherwise it is computed exactly.
     """
-    if g.n == 0:
-        return ImmersionCertificate(g.sha256(), (), {})
-    if alpha is None:
-        alpha, _ = independence_number(g)
+    alpha, _ = independence_number(g)
     if alpha <= 1:
         return direct_clique_certificate(g, range(g.n))
     bad = find_hole_in_range(g, 4, 2 * alpha)
     if bad is not None:
         raise PreconditionError(
             f"input has a hole of length {len(bad)} inside [4, {2 * alpha}]: {bad}")
+    return _hole_free_build(g, alpha)
+
+
+def _hole_free_build(g: Graph, alpha: int) -> ImmersionCertificate:
+    """The construction of ``hole_free_immersion``, for a graph with
+    independence at most ``alpha`` and no hole of length in [4, 2*alpha]:
+    it starts at the (2*alpha+1)-hole search.  At alpha = 2 the hole
+    condition is exactly "no induced C4"."""
     hole = find_hole_in_range(g, 2 * alpha + 1, 2 * alpha + 1)
     if hole is None:
         peo = chordal_peo(g)
@@ -542,21 +576,13 @@ def house_free_immersion(g: Graph) -> ImmersionCertificate:
 
 
 def _house_free_inner(g: Graph) -> ImmersionCertificate:
+    base = _base_case(g)
+    if base is not None:
+        return base
     n = g.n
-    if n == 0:
-        return ImmersionCertificate(g.sha256(), (), {})
-    need = half_ceil(n)
-    if n <= 4:
-        omega, clique = max_clique(g)
-        if omega < need:
-            raise ClaimViolation("tiny graph with independence <= 2 lacks a "
-                                 "half-order clique", graph=g)
-        return trim_certificate(direct_clique_certificate(g, clique), need)
-    if all(g.degree(v) == n - 1 for v in range(n)):
-        return trim_certificate(direct_clique_certificate(g, range(n)), need)
     emb = find_induced_embedding(g, pattern("C4"))
     if emb is None:
-        return trim_certificate(hole_free_immersion(g, alpha=2), need)
+        return trim_certificate(_hole_free_build(g, 2), half_ceil(n))
     fmask = mask_of(emb)
     for u in range(n):
         if fmask >> u & 1:
@@ -586,18 +612,10 @@ def owh_free_immersion(g: Graph) -> ImmersionCertificate:
 
 
 def _owh_free_inner(g: Graph) -> ImmersionCertificate:
+    base = _base_case(g)
+    if base is not None:
+        return base
     n = g.n
-    if n == 0:
-        return ImmersionCertificate(g.sha256(), (), {})
-    need = half_ceil(n)
-    if n <= 4:
-        omega, clique = max_clique(g)
-        if omega < need:
-            raise ClaimViolation("tiny graph with independence <= 2 lacks a "
-                                 "half-order clique", graph=g)
-        return trim_certificate(direct_clique_certificate(g, clique), need)
-    if all(g.degree(v) == n - 1 for v in range(n)):
-        return trim_certificate(direct_clique_certificate(g, range(n)), need)
     emb = find_induced_embedding(g, pattern("P4"))
     if emb is None:
         # No induced P4 at all; the house contains one, so the house engine applies.
@@ -664,15 +682,9 @@ def _k4_free_inner(g: Graph) -> ImmersionCertificate:
         raise ClaimViolation(
             "a K4-free graph with independence number at most 2 cannot have "
             "nine or more vertices", graph=g)
-    if n == 0:
-        return ImmersionCertificate(g.sha256(), (), {})
-    need = half_ceil(n)
-    if n <= 4:
-        omega, clique = max_clique(g)
-        if omega < need:
-            raise ClaimViolation("tiny graph with independence <= 2 lacks a "
-                                 "half-order clique", graph=g)
-        return trim_certificate(direct_clique_certificate(g, clique), need)
+    base = _base_case(g)
+    if base is not None:
+        return base
     if n == 5:
         omega, clique = max_clique(g)
         if omega >= 3:
@@ -753,18 +765,18 @@ def _k4_on_seven(g: Graph) -> ImmersionCertificate:
 # -- K4-minus-an-edge-free graphs --------------------------------------------------------
 
 
-def k4minus_free_clique(g: Graph
-                        ) -> tuple[ImmersionCertificate,
-                                   tuple[frozenset[int], frozenset[int]] | None]:
+def k4minus_free_clique(g: Graph) -> tuple[ImmersionCertificate, TwoCliques | None]:
     """For graphs with independence <= 2 and no induced K4-minus-an-edge:
     a ceil(n/2) clique certificate, plus a partition of the vertices into two
     cliques whenever the graph is not a plain 5-cycle (which has none).
     """
     _require_alpha_at_most_two(g)
     _require_pattern_free(g, "K4minus")
+    return _k4minus_build(g)
+
+
+def _k4minus_build(g: Graph) -> tuple[ImmersionCertificate, TwoCliques | None]:
     n = g.n
-    if n == 0:
-        return ImmersionCertificate(g.sha256(), (), {}), (frozenset(), frozenset())
     if n == 5 and all(g.degree(v) == 2 for v in range(5)):
         cyc = find_hole_in_range(g, 4, 5)
         if cyc is not None and len(cyc) == 5:
@@ -779,14 +791,7 @@ def k4minus_free_clique(g: Graph
             "K4-minus-an-edge", graph=g, context={"cycle": sorted(five)})
 
     x = min(range(n), key=lambda v: (g.degree(v), v))
-    nbar = g.non_neighbors(x)
-    for u in bits(nbar):
-        gap = nbar & ~g.adj[u] & ~(1 << u)
-        if gap:
-            w = (gap & -gap).bit_length() - 1
-            raise ClaimViolation(
-                "independence number exceeds 2",
-                graph=g, context={"triple": (x, u, w)})
+    nbar = _clique_non_neighbours(g, x)
     nx = g.adj[x]
     if g.is_clique(nx):
         part1 = frozenset(bits(nx)) | {x}
@@ -846,6 +851,19 @@ def _components_within(g: Graph, mask: int) -> list[int]:
 # -- one excluded 4-vertex pattern: the ceil(n/2) bound --------------------------------------
 
 
+#: The builder for each excluded 4-vertex pattern; it assumes independence
+#: <= 2 and the pattern's absence, which its caller has checked.
+_PATTERN_BUILDERS: dict[str, Callable[[Graph], ImmersionCertificate]] = {
+    "C4": lambda g: _hole_free_build(g, 2),
+    "P4": _house_free_inner,
+    "paw": _house_free_inner,
+    "twoK2": _owh_free_inner,
+    "K3v": _owh_free_inner,
+    "K4minus": lambda g: _k4minus_build(g)[0],
+    "K4": _k4_free_inner,
+}
+
+
 def pattern_free_immersion(g: Graph, pattern_name: str) -> ImmersionCertificate:
     """K_{ceil(n/2)} immersion when g has independence <= 2 and omits one of
     the seven 4-vertex patterns as an induced subgraph.
@@ -861,21 +879,12 @@ def pattern_free_immersion(g: Graph, pattern_name: str) -> ImmersionCertificate:
             f"pattern must be one of {FOUR_VERTEX_PATTERNS}, got {pattern_name!r}")
     _require_alpha_at_most_two(g)
     _require_pattern_free(g, pattern_name)
-    n = g.n
-    if n == 0:
-        return ImmersionCertificate(g.sha256(), (), {})
-    if pattern_name == "K4":
-        cert = _k4_free_inner(g)
-    elif pattern_name == "K4minus":
-        cert, _parts = k4minus_free_clique(g)
-    elif pattern_name == "C4":
-        alpha = 1 if all(g.degree(v) == n - 1 for v in range(n)) else 2
-        cert = hole_free_immersion(g, alpha=alpha)
-    elif pattern_name in ("P4", "paw"):
-        cert = _house_free_inner(g)
-    else:  # twoK2, K3v
-        cert = _owh_free_inner(g)
-    cert = trim_certificate(cert, half_ceil(n))
+    return _pattern_free_build(g, pattern_name)
+
+
+def _pattern_free_build(g: Graph, pattern_name: str) -> ImmersionCertificate:
+    """The pattern's builder, trimmed to ceil(n/2) and re-verified."""
+    cert = trim_certificate(_PATTERN_BUILDERS[pattern_name](g), half_ceil(g.n))
     verdict = verify_certificate(g, cert)
     if not verdict.ok:
         raise AssertionError(f"constructed certificate failed verification: {verdict}")
@@ -886,12 +895,13 @@ def auto_immersion(g: Graph) -> tuple[str, ImmersionCertificate]:
     """Try each pattern-exclusion route in a fixed order, then the oracle.
 
     Returns (method token, certificate); the token names the route that
-    applied, e.g. ``vergara:C4`` or ``oracle``.
+    applied, e.g. ``vergara:C4`` or ``oracle``.  Independence <= 2 is checked
+    once, and the first absent pattern's builder runs without re-checking.
     """
     _require_alpha_at_most_two(g)
     for name in FOUR_VERTEX_PATTERNS:
         if find_induced(g, pattern(name)) is None:
-            return f"vergara:{name}", pattern_free_immersion(g, name)
+            return f"vergara:{name}", _pattern_free_build(g, name)
     budget = OracleBudget()
     if g.n <= budget.max_n:
         _t, cert = max_immersion_order(g, budget)
@@ -899,3 +909,18 @@ def auto_immersion(g: Graph) -> tuple[str, ImmersionCertificate]:
     raise PreconditionError(
         "every 4-vertex pattern occurs and the graph exceeds the exhaustive "
         f"search bound n <= {budget.max_n}")
+
+
+#: The ``immlab solve --method`` routes other than ``auto``: token -> route
+#: returning (certificate, two-clique partition or None).  Each checks its
+#: own preconditions.
+METHODS: dict[str, Callable[[Graph], tuple[ImmersionCertificate, TwoCliques | None]]] = {
+    "forbholes": lambda g: (hole_free_immersion(g), None),
+    "house": lambda g: (house_free_immersion(g), None),
+    "owh": lambda g: (owh_free_immersion(g), None),
+    "k4": lambda g: (k4_free_immersion(g), None),
+    "k4minus": k4minus_free_clique,
+    "oracle": lambda g: (max_immersion_order(g)[1], None),
+    **{f"vergara:{name}": (lambda g, name=name: (pattern_free_immersion(g, name), None))
+       for name in FOUR_VERTEX_PATTERNS},
+}

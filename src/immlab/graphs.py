@@ -59,6 +59,9 @@ class Graph:
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
+        """Each unordered pair may appear once: a repeat, in either
+        orientation, is a ValueError naming the first repeated pair."""
+        edges = list(edges)
         adj = [0] * n
         for u, v in edges:
             if u == v:
@@ -67,6 +70,12 @@ class Graph:
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
             adj[u] |= 1 << v
             adj[v] |= 1 << u
+        if 2 * len(edges) != sum(row.bit_count() for row in adj):
+            seen = set()
+            for u, v in edges:
+                if (pair := (min(u, v), max(u, v))) in seen:
+                    raise ValueError(f"edge ({u},{v}) repeats the pair {pair}")
+                seen.add(pair)
         return Graph(n, tuple(adj))
 
     # -- queries -----------------------------------------------------------
@@ -216,11 +225,6 @@ def cycle_graph(n: int) -> Graph:
     if n < 3:
         raise ValueError("cycles need at least 3 vertices")
     return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def disjoint_union(a: Graph, b: Graph) -> Graph:
-    adj = list(a.adj) + [row << a.n for row in b.adj]
-    return Graph(a.n + b.n, tuple(adj))
 
 
 def join(a: Graph, b: Graph) -> Graph:

@@ -244,16 +244,6 @@ def cycle_inflation_chromatic(sizes: tuple[int, ...]) -> tuple[int, tuple[tuple[
     raise AssertionError("t = n is always feasible for disjoint colour sets")
 
 
-def bag_colouring_to_vertices(g: Graph, bags: Bags,
-                              bag_sets: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
-    """Expand per-bag colour sets into a per-vertex colouring of the host."""
-    colour = [-1] * g.n
-    for bag, colours in zip(bags, bag_sets):
-        for v, c in zip(sorted(bag), sorted(colours)):
-            colour[v] = c
-    return tuple(colour)
-
-
 # -- cycle inflations ----------------------------------------------------------------
 
 

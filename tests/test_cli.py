@@ -7,9 +7,11 @@ import json
 import pytest
 
 import immlab.cli as cli
+from immlab import analysis, construct
 from immlab.certificates import certificate_from_json, certificate_to_json
 from immlab.errors import BudgetExceeded, ClaimViolation
-from immlab.graphs import cycle_graph, graph_from_json
+from immlab.gen import random_alpha2
+from immlab.graphs import FOUR_VERTEX_PATTERNS, cycle_graph, graph_from_json
 
 
 def run(capsys, argv):
@@ -102,6 +104,53 @@ def test_solve_rejects_inapplicable_method(tmp_path, capsys):
     assert code == cli.EXIT_BAD_INPUT
     code, _, err = run(capsys, ["solve", str(path), "--method", "sorcery"])
     assert code == cli.EXIT_BAD_INPUT
+
+
+def test_method_help_and_error_list_every_route(tmp_path, capsys):
+    assert cli.METHOD_TOKENS == ("auto",) + tuple(construct.METHODS)
+    assert {"forbholes", "house", "owh", "k4", "k4minus", "oracle"} | {
+        f"vergara:{p}" for p in FOUR_VERTEX_PATTERNS} == set(construct.METHODS)
+    with pytest.raises(SystemExit):
+        cli.main(["solve", "--help"])
+    assert " | ".join(cli.METHOD_TOKENS) in " ".join(capsys.readouterr().out.split())
+    path = write_c5(tmp_path)
+    code, _, err = run(capsys, ["solve", str(path), "--method", "sorcery"])
+    assert code == cli.EXIT_BAD_INPUT
+    assert ", ".join(cli.METHOD_TOKENS) in err
+
+
+def test_repeated_edge_is_bad_input(tmp_path, capsys):
+    path = tmp_path / "dup.json"
+    path.write_text('{"format":"immlab-graph-v1","n":2,"edges":[[0,1],[1,0]]}')
+    for command in ("analyze", "solve"):
+        code, out, err = run(capsys, [command, str(path)])
+        assert code == cli.EXIT_BAD_INPUT and out == ""
+        assert "repeats the pair (0, 1)" in err
+    text = tmp_path / "dup.txt"
+    text.write_text("2 2\n0 1\n0 1\n")
+    code, _, err = run(capsys, ["analyze", str(text)])
+    assert code == cli.EXIT_BAD_INPUT and "repeats" in err
+
+
+def test_analyze_runs_two_clique_searches(tmp_path, capsys, monkeypatch):
+    # alpha and omega each take one search; chi reuses both.
+    calls = []
+    real = analysis.max_clique
+
+    def counting(g):
+        calls.append(g.n)
+        return real(g)
+
+    monkeypatch.setattr(analysis, "max_clique", counting)
+    path = tmp_path / "g.json"
+    path.write_text(random_alpha2(12, 3).to_json())
+    code, out, _ = run(capsys, ["analyze", str(path)])
+    assert code == 0 and json.loads(out)["chi"] is not None
+    assert len(calls) == 2
+    calls.clear()
+    code, out, _ = run(capsys, ["solve", str(path)])
+    assert code == 0 and json.loads(out)["chi"] is not None
+    assert len(calls) == 2
 
 
 def test_verify_round_trip_and_tamper(tmp_path, capsys):

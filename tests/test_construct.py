@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from immlab import analysis, construct
 from immlab.analysis import find_induced, independence_number, max_clique
 from immlab.certificates import (
     ImmersionCertificate,
@@ -390,3 +391,44 @@ def test_auto_immersion_large_all_patterns_is_out_of_reach():
     g = join(base, complete_graph(4))  # n = 12 keeps all patterns, alpha 2
     with pytest.raises(PreconditionError):
         auto_immersion(g)
+
+
+# -- each precondition is asked once -------------------------------------------------
+
+
+def count_precondition_calls(monkeypatch):
+    """Counting wrappers on the searches construct imports; the induced search
+    is also wrapped in analysis, where ``find_induced`` calls it."""
+    log = []
+    for module, name in ((construct, "independent_triple"),
+                         (construct, "find_hole_in_range"),
+                         (construct, "find_induced_embedding"),
+                         (analysis, "find_induced_embedding")):
+        def counting(*args, _name=name, _real=getattr(module, name)):
+            log.append((_name, args))
+            return _real(*args)
+        monkeypatch.setattr(module, name, counting)
+    return log
+
+
+def calls_of(log, name, *tail):
+    return sum(1 for n, args in log if n == name and args[1:] == tail)
+
+
+def test_auto_asks_each_precondition_once(monkeypatch):
+    g = join(inflate(cycle_graph(5), (3,) * 5)[0], complete_graph(2))
+    log = count_precondition_calls(monkeypatch)
+    token, cert = auto_immersion(g)
+    assert token == "vergara:C4"
+    checked(g, cert, half_ceil(g.n))
+    assert calls_of(log, "independent_triple") == 1
+    assert calls_of(log, "find_induced_embedding", pattern("C4")) == 1
+    assert calls_of(log, "find_hole_in_range", 4, 4) == 0
+
+
+def test_k4minus_route_asks_each_precondition_once(monkeypatch):
+    g = random_hfree_alpha2("K4minus", 9, 9)
+    log = count_precondition_calls(monkeypatch)
+    checked(g, pattern_free_immersion(g, "K4minus"), half_ceil(g.n))
+    assert calls_of(log, "independent_triple") == 1
+    assert calls_of(log, "find_induced_embedding", pattern("K4minus")) == 1

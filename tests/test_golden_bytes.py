@@ -1,0 +1,105 @@
+"""Certificate bytes pinned per route on seeded fixtures.
+
+Each route token of ``immlab solve --method`` is run through the CLI's
+dispatcher on a few seeded graphs that meet its precondition, and the
+SHA-256 of the certificates' canonical JSON (one line per fixture) is
+compared with a pinned digest.  A refactor of the routes must leave every
+digest unchanged; a deliberate change of output must update the pin and say
+why.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import pytest
+
+from immlab.certificates import certificate_to_json, verify_certificate
+from immlab.cli import _solve_with_method
+from immlab.gen import forbholes_family, random_alpha2, random_hfree_alpha2
+from immlab.graphs import FOUR_VERTEX_PATTERNS, complete_graph, cycle_graph, join
+from immlab.inflation import inflate
+
+
+def c5k3_join_k2():
+    core, _ = inflate(cycle_graph(5), (3, 3, 3, 3, 3))
+    return join(core, complete_graph(2))
+
+
+def hfree(name, top=10):
+    return [random_hfree_alpha2(name, n, n) for n in range(6, top + 1)]
+
+
+def fixtures(token):
+    if token == "forbholes":
+        return ([forbholes_family(2, s)[0] for s in (1, 2, 3)]
+                + [forbholes_family(3, s)[0] for s in (1, 2)] + [c5k3_join_k2()])
+    if token == "house":
+        return hfree("house")
+    if token == "owh":
+        return hfree("owh")
+    if token == "k4":
+        return hfree("K4", 8)
+    if token == "k4minus":
+        return hfree("K4minus")
+    if token == "oracle":
+        return [random_alpha2(n, n) for n in (6, 7, 8)]
+    if token == "auto":
+        return ([random_alpha2(n, n) for n in range(6, 11)]
+                + [forbholes_family(2, 1)[0], c5k3_join_k2(), cycle_graph(5),
+                   complete_graph(5), complete_graph(0)]
+                + [random_hfree_alpha2(p, 9, 3) for p in FOUR_VERTEX_PATTERNS
+                   if p != "K4"])
+    name = token.split(":", 1)[1]
+    return hfree(name, 8 if name == "K4" else 10)
+
+
+GOLDEN = {
+    "forbholes": "2bec3473dd8be9afbb0641bd1bb05971fe7c1c5a32245c8b1d6dba977081b156",
+    "house": "83a9b59c45ed0d0a1e683d06d3dfeb48d36e8a59970c0a5b18e0c09664be3942",
+    "owh": "ab28e5543d5f8e65fcaff5e076869d04734fdc70b98e73e60856710a42fd5730",
+    "k4": "4e31e2fe2a6a28ae2f8f3605af264e8840a11ac6b6efef337378700b5e63ce68",
+    "k4minus": "ac652ea93adeeb875ecf04f9efd41f47d537787dc18a9efb05af244637c2c160",
+    "oracle": "4d6e3d793c3c00af7e9dcc8a0515e0533756b4221ccea7e7958ff53d46caa809",
+    "auto": "3944f3087257005abcd5b2d00d5baa54f4edefe0d51f72f1362418085e038be6",
+    "vergara:C4": "83a9b59c45ed0d0a1e683d06d3dfeb48d36e8a59970c0a5b18e0c09664be3942",
+    "vergara:P4": "05cc13a77ba6d8a70abb3ea6c48b014f93c18f3f21f5f83a6b6677e374489476",
+    "vergara:paw": "74ccafcf7935e014638ca720b6f176adc268dcc06cb2c51701d037637e335541",
+    "vergara:twoK2": "5cf0d4408d112afa9e9610b5651f32d055a0ca0faf5327c7a5440d5e9a942af8",
+    "vergara:K3v": "640b2d01a67480b60adcbc3ead7ec519f60c868890addb4169a55fef5a302246",
+    "vergara:K4minus": "fb9834b5efb77f3b0a5d83bc588ab5b7c030dba6fe8b06817301fb5739934446",
+    "vergara:K4": "4e31e2fe2a6a28ae2f8f3605af264e8840a11ac6b6efef337378700b5e63ce68",
+}
+
+K4MINUS_PARTS = [
+    ([0, 4], [1, 2, 3, 5]),
+    ([3, 4, 5], [0, 1, 2, 6]),
+    ([0, 4, 6, 7], [1, 2, 3, 5]),
+    ([1, 5, 6, 8], [0, 2, 3, 4, 7]),
+    ([0, 1, 2, 3, 4, 5, 6, 7, 8, 9], []),
+]
+
+TOKENS = (["forbholes", "house", "owh", "k4", "k4minus", "oracle", "auto"]
+          + [f"vergara:{p}" for p in FOUR_VERTEX_PATTERNS])
+
+
+def route_digest(token):
+    lines = []
+    for g in fixtures(token):
+        _token, cert, _parts = _solve_with_method(g, token)
+        assert verify_certificate(g, cert).ok
+        lines.append(certificate_to_json(cert))
+    return hashlib.sha256("\n".join(lines).encode("ascii")).hexdigest()
+
+
+@pytest.mark.parametrize("token", TOKENS)
+def test_certificate_bytes_are_pinned(token):
+    assert route_digest(token) == GOLDEN[token]
+
+
+def test_k4minus_partitions_are_pinned():
+    parts = []
+    for g in fixtures("k4minus"):
+        _token, _cert, (a, b) = _solve_with_method(g, "k4minus")
+        parts.append((sorted(a), sorted(b)))
+    assert parts == K4MINUS_PARTS

@@ -15,7 +15,6 @@ from immlab.graphs import (
     bits,
     complete_graph,
     cycle_graph,
-    disjoint_union,
     empty_graph,
     graph_from_json,
     graph_from_text,
@@ -52,6 +51,18 @@ def test_from_edges_rejects_bad_input():
         Graph.from_edges(3, [(1, 1)])
     with pytest.raises(ValueError):
         Graph.from_edges(-1, [])
+
+
+def test_repeated_edges_are_rejected():
+    # Otherwise different input documents would parse to the same graph hash.
+    with pytest.raises(ValueError, match=r"\(1,0\) repeats the pair \(0, 1\)"):
+        graph_from_json('{"format":"immlab-graph-v1","n":2,"edges":[[0,1],[1,0],[0,1]]}')
+    with pytest.raises(ValueError, match=r"\(0,1\) repeats"):
+        graph_from_json('{"format":"immlab-graph-v1","n":3,"edges":[[0,1],[1,2],[0,1]]}')
+    with pytest.raises(ValueError, match=r"\(2,1\) repeats the pair \(1, 2\)"):
+        graph_from_text("3 3\n0 1\n1 2\n2 1\n")
+    with pytest.raises(ValueError, match="repeats"):
+        Graph.from_edges(3, iter([(0, 1), (0, 1)]))
 
 
 def test_canonical_json_is_bit_exact():
@@ -119,6 +130,10 @@ def test_induced_subgraph_remap_is_monotone():
     sub2, remap2 = g.delete_vertices([0])
     assert sub2.n == 5 and remap2[5] == 4
     assert sub2.has_edge(0, 1) and not sub2.has_edge(0, 4)
+
+
+def disjoint_union(a, b):
+    return Graph(a.n + b.n, tuple(list(a.adj) + [row << a.n for row in b.adj]))
 
 
 def test_union_and_join_sizes():

@@ -12,7 +12,6 @@ from immlab.gen import random_inflation
 from immlab.graphs import cycle_graph, path_graph
 from immlab.inflation import (
     InflationSpec,
-    bag_colouring_to_vertices,
     cycle_inflation_chromatic,
     inflate,
     inflate_cycle,
@@ -26,6 +25,15 @@ from conftest import ref_chromatic_number
 
 def proper(g, colouring):
     return all(colouring[u] != colouring[v] for u, v in g.edges())
+
+
+def bag_colouring_to_vertices(g, bags, bag_sets):
+    """Expand per-bag colour sets into a per-vertex colouring of the host."""
+    colour = [-1] * g.n
+    for bag, colours in zip(bags, bag_sets):
+        for v, c in zip(sorted(bag), sorted(colours)):
+            colour[v] = c
+    return tuple(colour)
 
 
 def test_inflate_c4_shape():

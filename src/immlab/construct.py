@@ -23,15 +23,17 @@ The routines and their guarantees:
                                   for the graph minus four vertices, two more branch
                                   vertices are attached through the removed part.
 
-Each public route checks its preconditions once, then calls a private
-builder; callers that have proved a builder's precondition call it directly.
+Each public route and each public extension step checks its preconditions
+once, then calls a private builder (``_extend_c4`` and ``_extend_articulated``
+for the steps); callers that have proved a builder's precondition call it
+directly.
 """
 
 from __future__ import annotations
 
 import logging
 from itertools import combinations, permutations
-from typing import Callable
+from typing import Callable, Iterable
 
 from .analysis import (
     chordal_peo,
@@ -100,16 +102,24 @@ def _require_induced_at(g: Graph, verts: tuple[int, ...], name: str) -> None:
                     f"(pair ({verts[i]},{verts[j]}) is wrong)")
 
 
-def _require_dominating_edges(g: Graph, verts: tuple[int, ...], name: str) -> None:
-    pat = pattern(name)
+def _undominated(g: Graph, verts: tuple[int, ...], edges: list[Pair]
+                 ) -> tuple[Pair, int] | None:
+    """The first of ``edges`` that misses a vertex outside ``verts``, with the
+    lowest vertex it misses; None when every edge dominates."""
     scope = g.vertex_mask & ~mask_of(verts)
-    for i, j in pat.edges():
-        u, v = verts[i], verts[j]
+    for u, v in edges:
         missed = scope & ~g.adj[u] & ~g.adj[v]
         if missed:
-            w = (missed & -missed).bit_length() - 1
-            raise PreconditionError(
-                f"edge ({u},{v}) of the {name} does not dominate vertex {w}")
+            return (u, v), (missed & -missed).bit_length() - 1
+    return None
+
+
+def _require_dominating_edges(g: Graph, verts: tuple[int, ...], name: str) -> None:
+    hit = _undominated(g, verts, [(verts[i], verts[j]) for i, j in pattern(name).edges()])
+    if hit is not None:
+        (u, v), w = hit
+        raise PreconditionError(
+            f"edge ({u},{v}) of the {name} does not dominate vertex {w}")
 
 
 def _prepare_subcert(g: Graph, subcert: ImmersionCertificate,
@@ -167,6 +177,14 @@ def _escape_clique(g: Graph, v: int) -> ImmersionCertificate:
             "overloaded vertex's non-neighbourhood is too small",
             graph=g, context={"vertex": v, "non_neighbours": members, "need": need})
     return trim_certificate(direct_clique_certificate(g, members), need)
+
+
+def _lifted(g: Graph, removed: Iterable[int], build: Callable[[Graph], ImmersionCertificate]
+            ) -> ImmersionCertificate:
+    """``build`` run on g minus ``removed``, lifted back into g."""
+    sub, remap = g.delete_vertices(removed)
+    back = {new: old for old, new in remap.items()}
+    return lift_certificate(build(sub), back, g)
 
 
 def _base_case(g: Graph) -> ImmersionCertificate | None:
@@ -235,7 +253,12 @@ def _hole_free_build(g: Graph, alpha: int) -> ImmersionCertificate:
     bags, universal = _decompose_around_hole(g, hole)
     sub, remap = g.delete_vertices(universal)
     sub_bags = tuple(tuple(remap[v] for v in bag) for bag in bags)
-    cert_core, _colours = inflate_cycle(sub, sub_bags)
+    try:
+        cert_core, _colours = inflate_cycle(sub, sub_bags)
+    except PreconditionError as exc:
+        raise ClaimViolation(
+            f"the bags around a longest hole must form an exact inflation of "
+            f"its cycle: {exc}", graph=g, context={"hole": hole, "bags": bags}) from exc
     chi_core, _sets = cycle_inflation_chromatic(tuple(len(b) for b in sub_bags))
     cert_core = trim_certificate(cert_core, chi_core)
     back = {new: old for old, new in remap.items()}
@@ -245,22 +268,20 @@ def _hole_free_build(g: Graph, alpha: int) -> ImmersionCertificate:
 
 def _decompose_around_hole(g: Graph, hole: tuple[int, ...]
                            ) -> tuple[tuple[tuple[int, ...], ...], list[int]]:
-    """Tile the graph around a longest hole.
+    """Tile the graph around a longest hole into bags and universal vertices.
 
     Every vertex outside the hole must either see the entire hole (and then
-    be universal in g) or see exactly three consecutive hole vertices; the
-    groups seeded by the middle hole vertices must tile g minus the universal
-    vertices as an exact inflation of the hole's cycle.  Each failed claim
-    raises with the offending vertices attached.
+    be universal in g) or see exactly three consecutive hole vertices, and
+    joins the bag of the middle one.  Each failed claim raises with the
+    offending vertices attached.  That the bags form an exact inflation of the
+    hole's cycle is checked once, by ``inflate_cycle``.
     """
     k = len(hole)
     hmask = mask_of(hole)
     pos = {h: i for i, h in enumerate(hole)}
     groups: list[list[int]] = [[] for _ in range(k)]
     universal: list[int] = []
-    for u in range(g.n):
-        if hmask >> u & 1:
-            continue
+    for u in bits(g.vertex_mask & ~hmask):
         att = g.adj[u] & hmask
         if att == hmask:
             if g.non_neighbors(u):
@@ -272,35 +293,13 @@ def _decompose_around_hole(g: Graph, hole: tuple[int, ...]
             universal.append(u)
             continue
         seen = {pos[x] for x in bits(att)}
-        home = None
-        if len(seen) == 3:
-            for i in range(k):
-                if seen == {i, (i + 1) % k, (i + 2) % k}:
-                    home = i
-                    break
+        home = next((i for i in range(k) if seen == {i, (i + 1) % k, (i + 2) % k}), None)
         if home is None:
             raise ClaimViolation(
                 "outside vertex must see exactly three consecutive hole vertices",
                 graph=g, context={"vertex": u, "hole": hole, "sees": sorted(seen)})
         groups[home].append(u)
     bags = tuple(tuple(sorted(groups[i] + [hole[(i + 1) % k]])) for i in range(k))
-
-    masks = [mask_of(b) for b in bags]
-    for i in range(k):
-        if not g.is_clique(masks[i]):
-            raise ClaimViolation("hole bag is not a clique", graph=g,
-                                 context={"bag": bags[i], "hole": hole})
-        for j in range(i + 1, k):
-            consecutive = (j - i == 1) or (i == 0 and j == k - 1)
-            if consecutive:
-                if not all(masks[j] & ~g.adj[v] == 0 for v in bags[i]):
-                    raise ClaimViolation(
-                        "consecutive hole bags must be completely joined",
-                        graph=g, context={"bags": (bags[i], bags[j])})
-            elif any(masks[j] & g.adj[v] for v in bags[i]):
-                raise ClaimViolation(
-                    "non-consecutive hole bags must be anticomplete",
-                    graph=g, context={"bags": (bags[i], bags[j])})
     return bags, universal
 
 
@@ -322,6 +321,13 @@ def extend_over_dominating_c4(g: Graph, cycle: tuple[int, int, int, int],
     a = tuple(cycle)
     _require_induced_at(g, a, "C4")
     _require_dominating_edges(g, a, "C4")
+    return _extend_c4(g, a, subcert)
+
+
+def _extend_c4(g: Graph, a: tuple[int, int, int, int],
+               subcert: ImmersionCertificate) -> ImmersionCertificate:
+    """The construction of ``extend_over_dominating_c4``, for a C4 that is
+    induced in this order and whose every edge dominates."""
     n = g.n
     rest = g.vertex_mask & ~mask_of(a)
     sub = _prepare_subcert(g, subcert, set(a), half_ceil(n - 4))
@@ -579,14 +585,11 @@ def _house_free_inner(g: Graph) -> ImmersionCertificate:
     base = _base_case(g)
     if base is not None:
         return base
-    n = g.n
     emb = find_induced_embedding(g, pattern("C4"))
     if emb is None:
-        return trim_certificate(_hole_free_build(g, 2), half_ceil(n))
+        return trim_certificate(_hole_free_build(g, 2), half_ceil(g.n))
     fmask = mask_of(emb)
-    for u in range(n):
-        if fmask >> u & 1:
-            continue
+    for u in bits(g.vertex_mask & ~fmask):
         if (g.adj[u] & fmask).bit_count() < 3:
             raise ClaimViolation(
                 "every vertex outside an induced 4-cycle must see at least "
@@ -594,10 +597,9 @@ def _house_free_inner(g: Graph) -> ImmersionCertificate:
                 graph=g,
                 context={"vertex": u, "cycle": emb,
                          "sees": sorted(bits(g.adj[u] & fmask))})
-    sub, remap = g.delete_vertices(emb)
-    inner = _house_free_inner(sub)
-    back = {new: old for old, new in remap.items()}
-    return extend_over_dominating_c4(g, emb, lift_certificate(inner, back, g))
+    # The embedding is induced in cycle order, and a vertex seeing three of
+    # the four cycle vertices sees an end of every cycle edge.
+    return _extend_c4(g, emb, _lifted(g, emb, _house_free_inner))
 
 
 # -- owh-free graphs (triangle with a two-edge tail) ----------------------------------
@@ -615,55 +617,36 @@ def _owh_free_inner(g: Graph) -> ImmersionCertificate:
     base = _base_case(g)
     if base is not None:
         return base
-    n = g.n
-    emb = find_induced_embedding(g, pattern("P4"))
-    if emb is None:
+    a = find_induced_embedding(g, pattern("P4"))
+    if a is None:
         # No induced P4 at all; the house contains one, so the house engine applies.
         return _house_free_inner(g)
-    a = emb
-    rest = g.vertex_mask & ~mask_of(a)
-
-    def undominated(x: int, y: int) -> int:
-        return rest & ~g.adj[x] & ~g.adj[y]
-
-    miss_end1 = undominated(a[0], a[1])
-    miss_mid = undominated(a[1], a[2])
-    miss_end2 = undominated(a[2], a[3])
-    for missed, edge in ((miss_end1, (a[0], a[1])), (miss_end2, (a[2], a[3]))):
-        if missed:
-            u = (missed & -missed).bit_length() - 1
-            raise ClaimViolation(
-                "an end edge of an induced path fails to dominate, which "
-                "forces the forbidden triangle-with-tail",
-                graph=g, context={"path": a, "edge": edge, "vertex": u})
-    if not miss_mid:
-        sub, remap = g.delete_vertices(a)
-        inner = _owh_free_inner(sub)
-        back = {new: old for old, new in remap.items()}
-        return extend_over_dominating_p4(g, a, lift_certificate(inner, back, g))
-
-    # The middle edge misses someone: that someone sees exactly the two path
-    # ends, closing an induced 5-cycle.
-    u = (miss_mid & -miss_mid).bit_length() - 1
-    if not (g.has_edge(u, a[0]) and g.has_edge(u, a[3])):
+    hit = _undominated(g, a, [(a[0], a[1]), (a[2], a[3])])
+    if hit is not None:
         raise ClaimViolation(
-            "vertex missing the middle edge must see both path ends",
-            graph=g, context={"path": a, "vertex": u})
-    cycle = (a[0], a[1], a[2], a[3], u)
-    scope = g.vertex_mask & ~mask_of(cycle)
-    cyc_edges = [(cycle[i], cycle[(i + 1) % 5]) for i in range(5)]
-    for x, y in cyc_edges:
-        missed = scope & ~g.adj[x] & ~g.adj[y]
-        if missed:
-            w = (missed & -missed).bit_length() - 1
+            "an end edge of an induced path fails to dominate, which "
+            "forces the forbidden triangle-with-tail",
+            graph=g, context={"path": a, "edge": hit[0], "vertex": hit[1]})
+    # The embedding is an induced P4 in path order, so once its middle edge
+    # dominates too, the P4 extension's preconditions hold.
+    mid = _undominated(g, a, [(a[1], a[2])])
+    a5 = None
+    if mid is not None:
+        # The middle edge misses someone: that someone sees exactly the two
+        # path ends, closing an induced 5-cycle, whose edges must dominate.
+        a5 = mid[1]
+        if not (g.has_edge(a5, a[0]) and g.has_edge(a5, a[3])):
+            raise ClaimViolation(
+                "vertex missing the middle edge must see both path ends",
+                graph=g, context={"path": a, "vertex": a5})
+        cycle = a + (a5,)
+        hit = _undominated(g, cycle, [(cycle[i], cycle[(i + 1) % 5]) for i in range(5)])
+        if hit is not None:
             raise ClaimViolation(
                 "a 5-cycle edge fails to dominate, which forces the "
                 "forbidden triangle-with-tail",
-                graph=g, context={"cycle": cycle, "edge": (x, y), "vertex": w})
-    sub, remap = g.delete_vertices(a)
-    inner = _owh_free_inner(sub)
-    back = {new: old for old, new in remap.items()}
-    return extend_over_dominating_c5(g, cycle, lift_certificate(inner, back, g))
+                graph=g, context={"cycle": cycle, "edge": hit[0], "vertex": hit[1]})
+    return _extend_articulated(g, a, a5, _lifted(g, a, _owh_free_inner))
 
 
 # -- K4-free graphs (at most 8 vertices) ------------------------------------------------
@@ -696,9 +679,7 @@ def _k4_free_inner(g: Graph) -> ImmersionCertificate:
                 "carry a cycle", graph=g)
         return _cycle_k3(g, cyc)
     if n in (6, 8):
-        sub, remap = g.delete_vertices([n - 1])
-        back = {new: old for old, new in remap.items()}
-        return lift_certificate(_k4_free_inner(sub), back, g)
+        return _lifted(g, [n - 1], _k4_free_inner)
     return _k4_on_seven(g)
 
 

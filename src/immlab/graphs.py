@@ -60,7 +60,10 @@ class Graph:
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         """Each unordered pair may appear once: a repeat, in either
-        orientation, is a ValueError naming the first repeated pair."""
+        orientation, is a ValueError naming the first repeated pair.  The
+        vertex count is gated before any row is allocated."""
+        if not 0 <= n <= MAX_VERTICES:
+            raise ValueError(f"vertex count {n} outside [0, {MAX_VERTICES}]")
         edges = list(edges)
         adj = [0] * n
         for u, v in edges:

@@ -11,6 +11,10 @@ are adjacent.  Two engines live here:
   *and* a proper colouring with exactly as many colours as the immersion's
   order, certifying immersion-order >= chromatic number in one object.
 
+Each engine checks its preconditions once, then calls a private builder;
+the cycle builder, having proved both builders' preconditions, recurses into
+itself and builds its seam with the path builder.
+
 ``cycle_inflation_chromatic`` computes the exact chromatic number of a cycle
 inflation in polynomial time by a transfer DP; it is independent of the
 engines and is cross-checked against the general branch-and-bound solver in
@@ -33,7 +37,7 @@ from .certificates import (
     ordered_pair,
 )
 from .errors import PreconditionError
-from .graphs import Graph, cycle_graph, graph_from_doc, mask_of
+from .graphs import MAX_VERTICES, Graph, cycle_graph, graph_from_doc, mask_of
 
 INFLATION_FORMAT = "immlab-inflation-v1"
 
@@ -58,6 +62,8 @@ class InflationSpec:
 def inflate(base: Graph, sizes: tuple[int, ...]) -> tuple[Graph, Bags]:
     """Build the inflation graph; bag i gets the next sizes[i] consecutive ids."""
     spec = InflationSpec(base, tuple(sizes))
+    if sum(spec.sizes) > MAX_VERTICES:
+        raise ValueError(f"inflation of {sum(spec.sizes)} vertices exceeds {MAX_VERTICES}")
     bags: list[tuple[int, ...]] = []
     total = 0
     for s in spec.sizes:
@@ -121,10 +127,6 @@ def _complete_between(g: Graph, a: tuple[int, ...], bmask: int) -> bool:
     return all(bmask & ~g.adj[v] == 0 for v in a)
 
 
-def _anticomplete(g: Graph, a: tuple[int, ...], bmask: int) -> bool:
-    return all(bmask & g.adj[v] == 0 for v in a)
-
-
 # -- path inflations --------------------------------------------------------------
 
 
@@ -147,13 +149,18 @@ def inflate_path(g: Graph, bags: Bags) -> ImmersionCertificate:
     for i in range(L - 1):
         if not _complete_between(g, bags[i], masks[i + 1]):
             raise PreconditionError(f"bags {i} and {i + 1} are not completely joined")
+    if any(len(b) < len(bags[0]) for b in bags):
+        raise PreconditionError("first bag must be no bigger than every bag")
+    if any(len(bags[j]) < len(bags[L - 1]) for j in range(1, L, 2)):
+        raise PreconditionError("last bag must be no bigger than every even-position bag")
+    return _path_build(g, bags)
+
+
+def _path_build(g: Graph, bags: Bags) -> ImmersionCertificate:
+    """``inflate_path``'s construction, for bags that meet its preconditions."""
+    L = len(bags)
     p = len(bags[0])
     q = len(bags[L - 1])
-    if any(len(b) < p for b in bags):
-        raise PreconditionError("first bag must be no bigger than every bag")
-    if any(len(bags[j]) < q for j in range(1, L, 2)):
-        raise PreconditionError("last bag must be no bigger than every even-position bag")
-
     rows = [tuple(sorted(b)) for b in bags]
     paths: dict[Pair, Walk] = {}
     for u, v in combinations(sorted(bags[0]), 2):
@@ -250,18 +257,14 @@ def cycle_inflation_chromatic(sizes: tuple[int, ...]) -> tuple[int, tuple[tuple[
 def _validate_cycle_bags(g: Graph, bags: Bags) -> None:
     masks = _check_bags(g, bags, minimum=3)
     k = len(bags)
-    union = 0
-    for m in masks:
-        union |= m
-    if union != g.vertex_mask:
+    if sum(masks) != g.vertex_mask:  # the masks are disjoint
         raise PreconditionError("bags must cover every host vertex")
     for i in range(k):
         for j in range(i + 1, k):
-            consecutive = (j - i == 1) or (i == 0 and j == k - 1)
-            if consecutive:
+            if j - i == 1 or (i == 0 and j == k - 1):
                 if not _complete_between(g, bags[i], masks[j]):
                     raise PreconditionError(f"bags {i} and {j} are not completely joined")
-            elif not _anticomplete(g, bags[i], masks[j]):
+            elif any(masks[j] & g.adj[v] for v in bags[i]):
                 raise PreconditionError(
                     f"bags {i} and {j} must be anticomplete (inflation not exact)")
 
@@ -292,6 +295,14 @@ def inflate_cycle(g: Graph, bags: Bags) -> tuple[ImmersionCertificate, tuple[int
     is itself a big enough clique to certify directly.
     """
     _validate_cycle_bags(g, bags)
+    return _cycle_build(g, bags)
+
+
+def _cycle_build(g: Graph, bags: Bags) -> tuple[ImmersionCertificate, tuple[int, ...]]:
+    """The construction of ``inflate_cycle``, for bags that tile g as an exact
+    cycle inflation.  The seam bags meet ``inflate_path``'s size conditions by
+    the rotation, and the abstract inflation is exact as ``inflate`` builds it,
+    so neither is checked again."""
     k = len(bags)
     sizes = [len(b) for b in bags]
 
@@ -300,7 +311,7 @@ def inflate_cycle(g: Graph, bags: Bags) -> tuple[ImmersionCertificate, tuple[int
         return direct_clique_certificate(g, branch), tuple(range(g.n))
 
     if k == 4:
-        heavy = max(range(4), key=lambda i: (sizes[i] + sizes[(i + 1) % 4], -i))
+        heavy = _max_adjacent_rotation(sizes)
         clique = sorted(set(bags[heavy]) | set(bags[(heavy + 1) % 4]))
         cert = direct_clique_certificate(g, clique)
         x = max(sizes[0], sizes[2])
@@ -323,7 +334,7 @@ def inflate_cycle(g: Graph, bags: Bags) -> tuple[ImmersionCertificate, tuple[int
         path_bags = (rb[k - 3], rb[k - 2], rb[k - 1], rb[0])
     else:
         path_bags = (rb[0], rb[k - 1], rb[k - 2], rb[k - 3])
-    seam = inflate_path(g, path_bags)
+    seam = _path_build(g, path_bags)
 
     # Abstract (k-2)-cycle inflation; abstract vertex <-> host vertex by rank.
     inner_sizes = tuple(rs[: k - 2])
@@ -348,7 +359,7 @@ def inflate_cycle(g: Graph, bags: Bags) -> tuple[ImmersionCertificate, tuple[int
             paths[(a, b)] = (ha, hb)
     outer = PatternImmersion(g.sha256(), abstract, tuple(to_host), paths)
 
-    inner_cert, inner_colour = inflate_cycle(abstract, abags)
+    inner_cert, inner_colour = _cycle_build(abstract, abags)
     cert = compose_certificates(g, outer, inner_cert)
 
     # Extend the colouring to the two heavy bags.

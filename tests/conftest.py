@@ -3,16 +3,30 @@
 Everything here re-derives answers by plain enumeration with no pruning or
 heuristics, so the package's solvers are checked against a second route
 rather than against themselves.  All helpers are exponential and meant for
-tiny inputs only.
+tiny inputs only.  ``count_calls`` is the one exception: it counts how often
+a structural check runs.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations, permutations
 
 import hypothesis.strategies as st
 
 from immlab.graphs import Graph
+
+
+def count_calls(monkeypatch, module, *names: str) -> Counter:
+    """Replace each named function of ``module`` by a counting wrapper; the
+    returned Counter maps name -> calls so far."""
+    counts: Counter = Counter()
+    for name in names:
+        def counting(*args, _name=name, _real=getattr(module, name), **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(module, name, counting)
+    return counts
 
 
 def edge_key(a: int, b: int) -> tuple[int, int]:

@@ -132,6 +132,18 @@ def test_repeated_edge_is_bad_input(tmp_path, capsys):
     assert code == cli.EXIT_BAD_INPUT and "repeats" in err
 
 
+def test_huge_vertex_count_is_bad_input(tmp_path, capsys):
+    """The vertex-count gate runs at parse time, before any row is allocated."""
+    doc = tmp_path / "huge.json"
+    doc.write_text('{"format":"immlab-graph-v1","n":9223372036854775807,"edges":[]}')
+    text = tmp_path / "huge.txt"
+    text.write_text("9223372036854775807 0\n")
+    for path in (doc, text):
+        code, out, err = run(capsys, ["analyze", str(path)])
+        assert code == cli.EXIT_BAD_INPUT and out == ""
+        assert "outside [0, 4096]" in err
+
+
 def test_analyze_runs_two_clique_searches(tmp_path, capsys, monkeypatch):
     # alpha and omega each take one search; chi reuses both.
     calls = []

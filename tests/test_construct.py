@@ -46,6 +46,8 @@ from immlab.graphs import (
 from immlab.inflation import inflate
 from immlab.oracle import OracleBudget, brute_force_immersion
 
+from conftest import count_calls
+
 
 def checked(g, cert, order):
     assert cert.order == order
@@ -432,3 +434,29 @@ def test_k4minus_route_asks_each_precondition_once(monkeypatch):
     checked(g, pattern_free_immersion(g, "K4minus"), half_ceil(g.n))
     assert calls_of(log, "independent_triple") == 1
     assert calls_of(log, "find_induced_embedding", pattern("K4minus")) == 1
+
+
+@pytest.mark.parametrize("route, name", [(house_free_immersion, "house"),
+                                         (owh_free_immersion, "owh")])
+def test_recursive_routes_skip_the_extension_checks(monkeypatch, route, name):
+    """The peeling loops prove each dominating structure they find, so they
+    call the extension builders, not the checking public steps."""
+    g = random_hfree_alpha2(name, 16, 3)
+    counts = count_calls(monkeypatch, construct,
+                         "_require_induced_at", "_require_dominating_edges")
+    checked(g, route(g), half_ceil(g.n))
+    assert counts["_require_induced_at"] == 0
+    assert counts["_require_dominating_edges"] == 0
+
+
+def test_hole_free_build_reports_a_non_inflation_as_claim_violation():
+    """Vertices 5 and 6 both see hole vertices 0, 1, 2, so both join bag 0
+    with hole vertex 1, but they are not adjacent: the shape check in
+    ``inflate_cycle`` fails, and the builder keeps the graph and the hole."""
+    cycle = [(i, (i + 1) % 5) for i in range(5)]
+    g = Graph.from_edges(7, cycle + [(x, h) for x in (5, 6) for h in (0, 1, 2)])
+    with pytest.raises(ClaimViolation, match="bag 0 is not a clique") as info:
+        construct._hole_free_build(g, 2)
+    assert info.value.graph == g
+    assert info.value.context["hole"] == (0, 1, 2, 3, 4)
+    assert info.value.context["bags"][0] == (1, 5, 6)

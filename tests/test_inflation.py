@@ -5,10 +5,12 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from immlab import inflation
 from immlab.analysis import independence_number
 from immlab.certificates import verify_certificate
 from immlab.errors import PreconditionError
-from immlab.gen import random_inflation
+from immlab.construct import hole_free_immersion
+from immlab.gen import forbholes_family, random_inflation
 from immlab.graphs import cycle_graph, path_graph
 from immlab.inflation import (
     InflationSpec,
@@ -20,7 +22,7 @@ from immlab.inflation import (
     inflation_to_json,
 )
 
-from conftest import ref_chromatic_number
+from conftest import count_calls, ref_chromatic_number
 
 
 def proper(g, colouring):
@@ -49,6 +51,10 @@ def test_inflate_rejects_bad_sizes():
         inflate(cycle_graph(4), (2, 1, 2))
     with pytest.raises(ValueError):
         inflate(cycle_graph(4), (2, 0, 2, 1))
+    # The total is gated before any bag is built.
+    for sizes in ((2**63, 1, 1), (2**62, 1, 1), (4094, 1, 2)):
+        with pytest.raises(ValueError, match="exceeds 4096"):
+            inflate(cycle_graph(3), sizes)
 
 
 def test_inflation_json_frozen_and_round_trip():
@@ -189,3 +195,23 @@ def test_inflate_cycle_random_battery():
         assert cert.order == len(set(colouring))
         assert cert.order >= cycle_inflation_chromatic(spec.sizes)[0]
         assert verify_certificate(g, cert).ok
+
+
+# -- each structure is checked once ------------------------------------------------
+
+
+def test_inflate_cycle_checks_the_bags_once(monkeypatch):
+    """The recursion and the seam reuse the top-level validation."""
+    g, bags = inflate(cycle_graph(9), (2,) * 9)
+    counts = count_calls(monkeypatch, inflation, "_validate_cycle_bags", "_check_bags")
+    cert, colouring = inflate_cycle(g, bags)
+    assert verify_certificate(g, cert).ok and proper(g, colouring)
+    assert counts["_validate_cycle_bags"] == 1
+    assert counts["_check_bags"] == 1
+
+
+def test_hole_free_route_checks_the_inflation_shape_once(monkeypatch):
+    g = forbholes_family(3, 4)[0]
+    counts = count_calls(monkeypatch, inflation, "_validate_cycle_bags")
+    assert verify_certificate(g, hole_free_immersion(g)).ok
+    assert counts["_validate_cycle_bags"] == 1

@@ -105,10 +105,6 @@ def independent_triple(g: Graph) -> tuple[int, int, int] | None:
     return None
 
 
-def has_independence_at_most_two(g: Graph) -> bool:
-    return independent_triple(g) is None
-
-
 # -- colouring ----------------------------------------------------------------
 
 

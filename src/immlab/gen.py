@@ -9,11 +9,7 @@ an instance is returned, and a broken promise raises instead of returning.
 
 from __future__ import annotations
 
-from .analysis import (
-    find_induced,
-    has_independence_at_most_two,
-    independent_triple,
-)
+from .analysis import find_induced, independent_triple
 from .errors import PreconditionError
 from .graphs import (
     Graph,
@@ -91,7 +87,7 @@ def random_hfree_alpha2(pattern_name: str, n: int, seed: int,
     rng = Rng(seed)
     for _ in range(max_tries):
         g = _random_alpha2_from(rng, n)
-        if not has_independence_at_most_two(g):
+        if independent_triple(g) is not None:
             raise AssertionError("generator produced an independent triple")
         if find_induced(g, h) is None:
             return g

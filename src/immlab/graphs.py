@@ -42,6 +42,8 @@ class Graph:
     def __post_init__(self) -> None:
         if not 0 <= self.n <= MAX_VERTICES:
             raise ValueError(f"vertex count {self.n} outside [0, {MAX_VERTICES}]")
+        if not isinstance(self.adj, tuple):
+            raise ValueError("adjacency must be a tuple")   # the kept digest needs it fixed
         if len(self.adj) != self.n:
             raise ValueError("adjacency tuple length != n")
         full = (1 << self.n) - 1
@@ -50,10 +52,14 @@ class Graph:
                 raise ValueError(f"adjacency of {v} mentions vertices >= n")
             if row >> v & 1:
                 raise ValueError(f"self-loop at {v}")
-        for v in range(self.n):
-            for u in bits(self.adj[v]):
-                if not self.adj[u] >> v & 1:
-                    raise ValueError(f"asymmetric adjacency {v}-{u}")
+        # Char u of row v is bit u of adj[v]; of column v, bit v of adj[u].
+        rows = [format(row, f"0{self.n}b")[::-1] for row in self.adj]
+        matrix = "".join(rows)
+        for v, row in enumerate(rows):
+            column = matrix[v::self.n]
+            if row != column and (missing := self.adj[v] & ~int(column[::-1], 2)):
+                u = (missing & -missing).bit_length() - 1
+                raise ValueError(f"asymmetric adjacency {v}-{u}")
 
     # -- construction -----------------------------------------------------
 
@@ -158,7 +164,12 @@ class Graph:
         return json.dumps(doc, separators=(",", ":"))
 
     def sha256(self) -> str:
-        return hashlib.sha256(self.to_json().encode("ascii")).hexdigest()
+        """Digest of ``to_json()``, kept after the first call (no field: ``==`` ignores it)."""
+        digest = self.__dict__.get("_sha256")
+        if digest is None:
+            digest = hashlib.sha256(self.to_json().encode("ascii")).hexdigest()
+            object.__setattr__(self, "_sha256", digest)
+        return digest
 
     def to_text(self) -> str:
         """Whitespace edge-list format: ``n m`` header, then one edge per line."""
@@ -262,10 +273,12 @@ PATTERN_EDGES: dict[str, tuple[int, tuple[tuple[int, int], ...]]] = {
 #: The four-vertex patterns, in the order the automatic solver tries them.
 FOUR_VERTEX_PATTERNS = ("C4", "P4", "paw", "twoK2", "K3v", "K4minus", "K4")
 
+_PATTERNS = {name: Graph.from_edges(n, edges) for name, (n, edges) in PATTERN_EDGES.items()}
+
 
 def pattern(name: str) -> Graph:
+    """The catalogue graph, built once at import and shared by every caller."""
     try:
-        n, edges = PATTERN_EDGES[name]
+        return _PATTERNS[name]
     except KeyError:
         raise ValueError(f"unknown pattern {name!r}; known: {sorted(PATTERN_EDGES)}")
-    return Graph.from_edges(n, edges)

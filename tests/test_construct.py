@@ -8,6 +8,7 @@ from immlab import analysis, construct
 from immlab.analysis import find_induced, independence_number, max_clique
 from immlab.certificates import (
     ImmersionCertificate,
+    certificate_to_json,
     direct_clique_certificate,
     lift_certificate,
     verify_certificate,
@@ -31,6 +32,7 @@ from immlab.gen import (
     dominating_c4_family,
     dominating_c5_family,
     dominating_p4_family,
+    forbholes_family,
     random_alpha2,
     random_hfree_alpha2,
 )
@@ -43,7 +45,7 @@ from immlab.graphs import (
     path_graph,
     pattern,
 )
-from immlab.inflation import inflate
+from immlab.inflation import inflate, inflate_cycle
 from immlab.oracle import OracleBudget, brute_force_immersion
 
 from conftest import count_calls
@@ -460,3 +462,38 @@ def test_hole_free_build_reports_a_non_inflation_as_claim_violation():
     assert info.value.graph == g
     assert info.value.context["hole"] == (0, 1, 2, 3, 4)
     assert info.value.context["bags"][0] == (1, 5, 6)
+
+
+# -- each graph is serialised once ---------------------------------------------------
+
+
+def solve_auto(g):
+    _token, cert = auto_immersion(g)
+    return cert
+
+
+def solve_cycle(g):
+    bags = inflate(cycle_graph(9), (2,) * 9)[1]
+    return inflate_cycle(g, bags)[0]
+
+
+@pytest.mark.parametrize("host, solve", [
+    (lambda: join(inflate(cycle_graph(5), (3,) * 5)[0], complete_graph(2)), solve_auto),
+    (lambda: inflate(cycle_graph(9), (2,) * 9)[0], solve_cycle),
+    (lambda: forbholes_family(3, 4)[0], hole_free_immersion),
+], ids=["auto", "inflate_cycle", "hole_free"])
+def test_each_graph_is_serialised_once_per_solve_and_verify(monkeypatch, host, solve):
+    g = host()
+    serialised = []          # the graphs themselves, so no id is reused
+    real = Graph.to_json
+
+    def counting(self):
+        serialised.append(self)
+        return real(self)
+    monkeypatch.setattr(Graph, "to_json", counting)
+    cert = solve(g)
+    assert verify_certificate(g, cert).ok
+    certificate_to_json(cert)
+    assert any(h is g for h in serialised)
+    for h in serialised:
+        assert sum(other is h for other in serialised) == 1, h

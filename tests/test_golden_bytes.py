@@ -1,24 +1,26 @@
-"""Certificate bytes pinned per route on seeded fixtures.
+"""Certificate bytes pinned per route and per inflation engine on seeded fixtures.
 
 Each route token of ``immlab solve --method`` is run through the CLI's
 dispatcher on a few seeded graphs that meet its precondition, and the
 SHA-256 of the certificates' canonical JSON (one line per fixture) is
-compared with a pinned digest.  A refactor of the routes must leave every
-digest unchanged; a deliberate change of output must update the pin and say
-why.
+compared with a pinned digest.  The two inflation engines are pinned the same
+way, with the cycle engine's colouring as one more line per fixture.  A
+refactor of the routes or the engines must leave every digest unchanged; a
+deliberate change of output must update the pin and say why.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 
 import pytest
 
 from immlab.certificates import certificate_to_json, verify_certificate
 from immlab.cli import _solve_with_method
-from immlab.gen import forbholes_family, random_alpha2, random_hfree_alpha2
+from immlab.gen import forbholes_family, random_alpha2, random_hfree_alpha2, random_inflation
 from immlab.graphs import FOUR_VERTEX_PATTERNS, complete_graph, cycle_graph, join
-from immlab.inflation import inflate
+from immlab.inflation import inflate, inflate_cycle, inflate_path
 
 
 def c5k3_join_k2():
@@ -103,3 +105,42 @@ def test_k4minus_partitions_are_pinned():
         _token, _cert, (a, b) = _solve_with_method(g, "k4minus")
         parts.append((sorted(a), sorted(b)))
     assert parts == K4MINUS_PARTS
+
+
+def random_specs(kind, ks):
+    return [(spec.base, spec.sizes) for k in ks
+            for spec in (random_inflation(kind, k, 3, seed) for seed in (1, 2))]
+
+
+#: (engine, fixtures as (base, bag sizes), pinned digest).  The last entry is
+#: the k = 9 cycle inflation with the fixed bags the inflation-large
+#: benchmark workload analyses.
+ENGINE_GOLDEN = {
+    "path": ("path", lambda: random_specs("path", (2, 4, 6, 8, 10)),
+             "100fb2c63d49f69d1995ffe02c9cd68169879393a0e66ea85b0563222924138a"),
+    "cycle": ("cycle", lambda: random_specs("cycle", range(3, 10)),
+              "05ba4a8f79b517d4fb968529d57ffef4ae299479f6e4613273aa4adc66822f5f"),
+    "cycle-k9-n256": ("cycle", lambda: [(cycle_graph(9), (29, 29, 29, 29, 28, 28, 28, 28, 28))],
+                      "1d292497c55be02727e2a8abbba3a9920682db4deda5a7b3404184c9d2506517"),
+}
+
+
+def engine_digest(kind, specs):
+    lines = []
+    for base, sizes in specs:
+        g, bags = inflate(base, sizes)
+        if kind == "path":
+            cert = inflate_path(g, bags)
+        else:
+            cert, colour = inflate_cycle(g, bags)
+        assert verify_certificate(g, cert).ok
+        lines.append(certificate_to_json(cert))
+        if kind == "cycle":
+            lines.append(json.dumps(colour, separators=(",", ":")))
+    return hashlib.sha256("\n".join(lines).encode("ascii")).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(ENGINE_GOLDEN))
+def test_engine_bytes_are_pinned(name):
+    kind, specs, golden = ENGINE_GOLDEN[name]
+    assert engine_digest(kind, specs()) == golden

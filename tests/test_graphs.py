@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import pickle
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,6 +13,7 @@ from hypothesis import given, strategies as st
 from immlab.graphs import (
     FOUR_VERTEX_PATTERNS,
     Graph,
+    MAX_VERTICES,
     PATTERN_EDGES,
     bits,
     complete_graph,
@@ -24,7 +27,7 @@ from immlab.graphs import (
     pattern,
 )
 
-from conftest import graphs
+from conftest import count_calls, graphs
 
 
 def test_bits_and_mask_round_trip():
@@ -74,10 +77,75 @@ def test_canonical_json_is_bit_exact():
     assert list(parsed) == ["format", "n", "edges"]
 
 
-def test_sha256_matches_independent_hash():
+def test_sha256_matches_independent_hash(monkeypatch):
     g = cycle_graph(4)
     want = hashlib.sha256(g.to_json().encode("ascii")).hexdigest()
+    serialised = count_calls(monkeypatch, Graph, "to_json")
     assert g.sha256() == want
+    assert g.sha256() == want
+    assert serialised["to_json"] == 1
+
+
+def test_kept_digest_is_invisible(monkeypatch):
+    g = cycle_graph(5)
+    digest = g.sha256()
+    fresh = cycle_graph(5)
+    assert g == fresh and hash(g) == hash(fresh) and repr(g) == repr(fresh)
+    copy = pickle.loads(pickle.dumps(g))
+    assert copy == g == fresh and hash(copy) == hash(fresh)
+    serialised = count_calls(monkeypatch, Graph, "to_json")
+    assert copy.sha256() == digest == fresh.sha256()
+    assert serialised["to_json"] == 1      # fresh only: the copy kept the digest
+
+
+def test_adjacency_must_be_a_tuple():
+    # A list could change after the digest is kept, so it is refused.
+    with pytest.raises(ValueError, match="tuple"):
+        Graph(2, [2, 1])
+
+
+ASYMMETRIC = [
+    ((2, 0, 0), "asymmetric adjacency 0-1"),
+    ((0, 0, 1), "asymmetric adjacency 2-0"),
+    ((6, 41, 1, 0, 2, 2), "asymmetric adjacency 1-3"),
+]
+
+
+@pytest.mark.parametrize("adj, message", ASYMMETRIC)
+def test_asymmetric_adjacency_names_the_first_pair(adj, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Graph(len(adj), adj)
+
+
+def first_asymmetric_pair(adj):
+    """Reference: the smallest v, then the smallest u in adj[v] with v not in adj[u]."""
+    for v, row in enumerate(adj):
+        for u in bits(row):
+            if not adj[u] >> v & 1:
+                return f"asymmetric adjacency {v}-{u}"
+    return None
+
+
+@given(st.integers(1, 12).flatmap(
+    lambda n: st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n)))
+def test_symmetry_check_agrees_with_reference(rows):
+    adj = tuple(row & ~(1 << v) for v, row in enumerate(rows))
+    message = first_asymmetric_pair(adj)
+    if message is None:
+        assert Graph(len(adj), adj).adj == adj
+    else:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Graph(len(adj), adj)
+
+
+def test_largest_complete_graph_builds_quickly():
+    n = MAX_VERTICES
+    full = (1 << n) - 1
+    rows = tuple(full & ~(1 << v) for v in range(n))
+    start = time.perf_counter()
+    g = Graph(n, rows)
+    assert time.perf_counter() - start < 3.0
+    assert g.degree(0) == n - 1
 
 
 def test_text_format_round_trip():
@@ -172,6 +240,12 @@ def test_pattern_catalog_is_frozen():
     assert pattern("owh").edges() == [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4)]
     assert set(FOUR_VERTEX_PATTERNS) <= set(PATTERN_EDGES)
     with pytest.raises(ValueError):
+        pattern("K5")
+
+
+def test_pattern_catalogue_is_built_once():
+    assert pattern("C4") is pattern("C4")
+    with pytest.raises(ValueError, match=r"unknown pattern 'K5'; known: \['C4', "):
         pattern("K5")
 
 

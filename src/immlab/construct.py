@@ -31,7 +31,6 @@ directly.
 
 from __future__ import annotations
 
-import logging
 from itertools import combinations, permutations
 from typing import Callable, Iterable
 
@@ -59,9 +58,7 @@ from .certificates import (
 from .errors import ClaimViolation, PreconditionError
 from .graphs import FOUR_VERTEX_PATTERNS, Graph, bits, mask_of, pattern
 from .inflation import cycle_inflation_chromatic, inflate_cycle
-from .oracle import OracleBudget, brute_force_immersion, max_immersion_order
-
-log = logging.getLogger(__name__)
+from .oracle import OracleBudget, max_immersion_order
 
 #: A partition of the vertex set into two cliques (the second may be empty).
 TwoCliques = tuple[frozenset[int], frozenset[int]]
@@ -689,8 +686,9 @@ def _k4_on_seven(g: Graph) -> ImmersionCertificate:
     Enumerates (triangle, ordered non-adjacent pair, triangle labelling)
     until the workable configuration appears: a2 sees two triangle corners
     directly and reaches the third through a1 or through the leftover
-    vertices.  If no configuration fits, falls back to the exhaustive search
-    (logged), which cannot fail on this input class.
+    vertices.  One fits on every 7-vertex K4-free graph with independence
+    <= 2 (the test suite enumerates all of them); none fitting is a
+    ``ClaimViolation``.
     """
     verts = range(7)
     for tri in combinations(verts, 3):
@@ -734,13 +732,9 @@ def _k4_on_seven(g: Graph) -> ImmersionCertificate:
                     _emit(g, paths, route)
                     branch = tuple(sorted(tri + (b2,)))
                     return ImmersionCertificate(g.sha256(), branch, paths)
-    log.warning("no direct 7-vertex configuration fit; using exhaustive search")
-    cert = brute_force_immersion(g, 4)
-    if cert is None:
-        raise ClaimViolation(
-            "7-vertex K4-free graph with independence <= 2 must immerse K4",
-            graph=g)
-    return cert
+    raise ClaimViolation(
+        "no triangle-plus-routed-vertex configuration fits a 7-vertex K4-free "
+        "graph with independence <= 2", graph=g)
 
 
 # -- K4-minus-an-edge-free graphs --------------------------------------------------------

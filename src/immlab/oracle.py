@@ -1,9 +1,10 @@
 """Exhaustive clique-immersion search on small graphs.
 
-This is the ground-truth referee for the constructive engines: slow, simple,
-and independent of them.  A found immersion is returned as a certificate and
-re-verified before leaving; a ``None`` answer is a proof of absence; running
-out of budget raises ``BudgetExceeded`` (which is *not* a "no").
+This is the ground-truth referee for the constructive engines: simple,
+independent of them, and exponential, so it admits only small graphs.  A
+found immersion is returned as a certificate and re-verified before leaving;
+a ``None`` answer is a proof of absence; running out of budget raises
+``BudgetExceeded`` (which is *not* a "no").
 """
 
 from __future__ import annotations
@@ -11,13 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .certificates import (
-    ImmersionCertificate,
-    Pair,
-    Walk,
-    ordered_pair,
-    verify_certificate,
-)
+from .certificates import ImmersionCertificate, Pair, Walk, verify_certificate
 from .errors import BudgetExceeded, PreconditionError
 from .graphs import Graph, bits, mask_of
 
@@ -31,23 +26,17 @@ class OracleBudget:
     max_nodes: int = 2_000_000
 
 
-def _reachable(g: Graph, u: int, v: int, bmask: int, used: set[Pair]) -> bool:
-    """Can u still reach v through unused edges and non-branch interiors?"""
-    seen = 1 << u
-    frontier = [u]
+def _reachable(u: int, v: int, bmask: int, free: list[int]) -> bool:
+    """Can u still reach v through free edges and non-branch interiors?"""
+    seen = frontier = 1 << u
     while frontier:
-        nxt = []
-        for x in frontier:
-            for y in bits(g.adj[x] & ~seen):
-                if ordered_pair(x, y) in used:
-                    continue
-                if y == v:
-                    return True
-                if bmask >> y & 1:
-                    continue
-                seen |= 1 << y
-                nxt.append(y)
-        frontier = nxt
+        reach = 0
+        for x in bits(frontier):
+            reach |= free[x]
+        if reach >> v & 1:
+            return True
+        frontier = reach & ~(seen | bmask)
+        seen |= frontier
     return False
 
 
@@ -100,12 +89,13 @@ def brute_force_immersion(g: Graph, t: int,
 def _with_branch(g: Graph, branch: tuple[int, ...], tick) -> ImmersionCertificate | None:
     bmask = mask_of(branch)
     paths: dict[Pair, Walk] = {}
-    used: set[Pair] = set()
+    free = list(g.adj)  # free[x]: neighbours of x over edges no path uses yet
     todo: list[Pair] = []
     for u, v in combinations(branch, 2):
         if g.has_edge(u, v):
             paths[(u, v)] = (u, v)
-            used.add((u, v))
+            free[u] ^= 1 << v
+            free[v] ^= 1 << u
         else:
             todo.append((u, v))
     todo.sort(key=lambda p: ((g.adj[p[0]] & g.adj[p[1]] & ~bmask).bit_count(), p))
@@ -114,31 +104,27 @@ def _with_branch(g: Graph, branch: tuple[int, ...], tick) -> ImmersionCertificat
         if i == len(todo):
             return True
         u, v = todo[i]
-        if not _reachable(g, u, v, bmask, used):
+        if not _reachable(u, v, bmask, free):
             return False
+        vbit = 1 << v
         walk = [u]
 
         def extend(x: int, onpath: int) -> bool:
             tick()
-            for y in bits(g.adj[x]):
-                edge = ordered_pair(x, y)
-                if edge in used:
-                    continue
+            for y in bits(free[x] & (vbit | ~(bmask | onpath))):
+                free[x] ^= 1 << y
+                free[y] ^= 1 << x
+                walk.append(y)
                 if y == v:
-                    walk.append(v)
-                    new_edges = [ordered_pair(a, b) for a, b in zip(walk, walk[1:])]
-                    used.update(new_edges)
                     paths[(u, v)] = tuple(walk)
                     if solve(i + 1):
                         return True
                     del paths[(u, v)]
-                    used.difference_update(new_edges)
-                    walk.pop()
-                elif not (bmask | onpath) >> y & 1:
-                    walk.append(y)
-                    if extend(y, onpath | 1 << y):
-                        return True
-                    walk.pop()
+                elif extend(y, onpath | 1 << y):
+                    return True
+                walk.pop()
+                free[x] ^= 1 << y
+                free[y] ^= 1 << x
             return False
 
         return extend(u, 1 << u)
@@ -153,15 +139,24 @@ def max_immersion_order(g: Graph,
                         ) -> tuple[int, ImmersionCertificate]:
     """Largest t (capped at the budget) with a K_t immersion, plus certificate.
 
-    Ascending search; the first miss stops it, which is sound because a K_t
-    immersion trims to a K_{t-1} immersion.
+    Searches downward from the cap, so the first t found is the maximum: a
+    K_t immersion trims to a K_{t-1} immersion.  The budget applies to each
+    level.  A level that runs out of budget is passed over, but a found t
+    stands only if t is the cap or t+1 was proved absent; otherwise t+1's
+    ``BudgetExceeded`` is raised.  So wherever an ascending search answers,
+    this one gives the same order and certificate.
     """
     budget = budget or OracleBudget()
-    best = 0
-    best_cert = ImmersionCertificate(g.sha256(), (), {})
-    for t in range(1, min(budget.max_t, g.n) + 1):
-        cert = brute_force_immersion(g, t, budget)
-        if cert is None:
-            break
-        best, best_cert = t, cert
-    return best, best_cert
+    pending: BudgetExceeded | None = None  # level t+1 ran out of budget
+    for t in range(min(budget.max_t, g.n), 0, -1):
+        try:
+            cert = brute_force_immersion(g, t, budget)
+        except BudgetExceeded as exc:
+            pending = exc
+            continue
+        if cert is not None:
+            if pending is not None:
+                raise pending
+            return t, cert
+        pending = None
+    return 0, ImmersionCertificate(g.sha256(), (), {})

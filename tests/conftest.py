@@ -3,8 +3,10 @@
 Everything here re-derives answers by plain enumeration with no pruning or
 heuristics, so the package's solvers are checked against a second route
 rather than against themselves.  All helpers are exponential and meant for
-tiny inputs only.  ``count_calls`` is the one exception: it counts how often
-a structural check runs.
+tiny inputs only.  Two helpers are exceptions: ``count_calls`` counts how
+often a structural check runs, and ``ref_max_immersion_order`` is the plain
+ascending search over the package oracle's levels, kept to check the budget
+rule of its downward search.
 """
 
 from __future__ import annotations
@@ -14,7 +16,9 @@ from itertools import combinations, permutations
 
 import hypothesis.strategies as st
 
+from immlab.certificates import ImmersionCertificate
 from immlab.graphs import Graph
+from immlab.oracle import brute_force_immersion
 
 
 def count_calls(monkeypatch, module, *names: str) -> Counter:
@@ -141,6 +145,18 @@ def ref_find_immersion(g: Graph, t: int):
         if solve(0):
             return {"branch": branch, "paths": found}
     return None
+
+
+def ref_max_immersion_order(g: Graph, budget) -> tuple[int, ImmersionCertificate]:
+    """Ascending search over ``brute_force_immersion`` levels 1, 2, ...: the
+    first absent level stops it, and a level out of budget raises."""
+    best = (0, ImmersionCertificate(g.sha256(), (), {}))
+    for t in range(1, min(budget.max_t, g.n) + 1):
+        cert = brute_force_immersion(g, t, budget)
+        if cert is None:
+            break
+        best = (t, cert)
+    return best
 
 
 @st.composite

@@ -38,3 +38,11 @@ def test_run_suite_parallel_matches_serial():
 def test_unknown_suite_rejected():
     with pytest.raises(KeyError):
         run_suite("nonsense", count=1)
+
+
+def test_oracle_agree_accepts_an_optimum_above_half():
+    """Seed 67 draws a 7-vertex graph on which ``auto`` falls back to the
+    oracle and returns the optimum, K5, above ceil(7/2) = 4."""
+    report, = run_suite("oracle-agree", count=1, start_seed=67)["reports"]
+    assert report["ok"], report
+    assert report["method"] == "oracle" and report["order"] == report["optimum"] == 5

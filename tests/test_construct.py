@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import pytest
 
 from immlab import analysis, construct
@@ -15,6 +17,7 @@ from immlab.certificates import (
 )
 from immlab.construct import (
     _k4_free_inner,
+    _k4_on_seven,
     auto_immersion,
     extend_over_dominating_c4,
     extend_over_dominating_c5,
@@ -263,6 +266,41 @@ def test_k4_free_extremal_circulant():
 
 def test_k4_free_triangle_free_five_cycle():
     checked(cycle_graph(5), k4_free_immersion(cycle_graph(5)), 3)
+
+
+def triangle_free_rows(n, max_alpha):
+    """Adjacency rows of every labelled triangle-free graph on n vertices with
+    independence at most ``max_alpha``, grown one vertex at a time: vertex k
+    joins an independent set of earlier vertices, and no independent set of
+    size ``max_alpha`` may lie among the ones it misses."""
+    def grow(rows):
+        k = len(rows)
+        if k == n:
+            yield rows
+            return
+        for nb in range(1 << k):
+            members = [v for v in range(k) if nb >> v & 1]
+            if any(rows[u] & nb for u in members):
+                continue
+            missed = [v for v in range(k) if not nb >> v & 1]
+            if any(all(not rows[a] >> b & 1 for a, b in combinations(s, 2))
+                   for s in combinations(missed, max_alpha)):
+                continue
+            yield from grow([r | (nb >> v & 1) << k for v, r in enumerate(rows)] + [nb])
+    return grow([])
+
+
+def test_k4_on_seven_fits_every_k4_free_alpha2_graph():
+    """The direct configuration fits all 13,842 labelled 7-vertex K4-free
+    graphs with independence <= 2: the complements of the triangle-free
+    graphs with independence <= 3."""
+    full = (1 << 7) - 1
+    count = 0
+    for rows in triangle_free_rows(7, 3):
+        g = Graph(7, tuple(full ^ r ^ 1 << v for v, r in enumerate(rows)))
+        checked(g, _k4_on_seven(g), 4)
+        count += 1
+    assert count == 13_842
 
 
 def test_k4_free_inner_rejects_nine_vertices():

@@ -21,6 +21,7 @@ from immlab.cli import _solve_with_method
 from immlab.gen import forbholes_family, random_alpha2, random_hfree_alpha2, random_inflation
 from immlab.graphs import FOUR_VERTEX_PATTERNS, complete_graph, cycle_graph, join
 from immlab.inflation import inflate, inflate_cycle, inflate_path
+from immlab.oracle import OracleBudget, brute_force_immersion, max_immersion_order
 
 
 def c5k3_join_k2():
@@ -144,3 +145,42 @@ def engine_digest(kind, specs):
 def test_engine_bytes_are_pinned(name):
     kind, specs, golden = ENGINE_GOLDEN[name]
     assert engine_digest(kind, specs()) == golden
+
+
+#: The two n = 10 graphs on which the small-mix benchmark workload's ``auto``
+#: solves fall back to the longest oracle searches.
+ORACLE_WORST = (450, 1371)
+
+#: (fixtures, budget cap or None, pinned digest).  Each fixture contributes
+#: ``brute_force_immersion(g, t)`` for t = 2..6 (``null`` when absent) and
+#: ``max_immersion_order(g)`` -- or only the latter, under the cap, when one
+#: is given.
+ORACLE_GOLDEN = {
+    "worst": (lambda: [random_alpha2(10, s) for s in ORACLE_WORST], None,
+              "22f831629c6311e800ff6dd419cd1b898d03299688c3936b31a8b70a2f2da6ff"),
+    "n9-n10": (lambda: [random_alpha2(n, s) for n in (9, 10) for s in range(5)], None,
+               "3cc50df8304b1c5d15a1eb0216e0e03b5f37371094758dc93af6242e1944f130"),
+    "max-t9": (lambda: [random_alpha2(9, 3), random_alpha2(10, 3)], 9,
+               "7c90cdd01d5d398bdbabc2aceb904dd1d8da8e00a43f9d431bd1ce34efaec0a9"),
+}
+
+
+def oracle_digest(graphs, cap):
+    lines = []
+    for g in graphs:
+        if cap is None:
+            for t in range(2, 7):
+                cert = brute_force_immersion(g, t)
+                lines.append("null" if cert is None else certificate_to_json(cert))
+            order, cert = max_immersion_order(g)
+        else:
+            order, cert = max_immersion_order(g, OracleBudget(max_t=cap))
+        assert order == cert.order and verify_certificate(g, cert).ok
+        lines.append(certificate_to_json(cert))
+    return hashlib.sha256("\n".join(lines).encode("ascii")).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_GOLDEN))
+def test_oracle_bytes_are_pinned(name):
+    graphs, cap, golden = ORACLE_GOLDEN[name]
+    assert oracle_digest(graphs(), cap) == golden

@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import pytest
 
-from immlab.certificates import verify_certificate
+from immlab import oracle
+from immlab.certificates import certificate_to_json, verify_certificate
 from immlab.errors import BudgetExceeded, PreconditionError
 from immlab.gen import random_alpha2
 from immlab.graphs import Graph, complete_graph, cycle_graph, empty_graph
 from immlab.oracle import OracleBudget, brute_force_immersion, max_immersion_order
 
-from conftest import ref_find_immersion
+from conftest import count_calls, ref_find_immersion, ref_max_immersion_order
 
 
 def test_c5_has_k3_but_not_k4():
@@ -84,3 +85,59 @@ def test_every_alpha2_graph_reaches_half_order():
         order, cert = max_immersion_order(g, OracleBudget(max_t=9))
         assert order >= (n + 1) // 2
         assert verify_certificate(g, cert).ok
+
+
+def test_max_order_at_the_cap_takes_one_level(monkeypatch):
+    """K6, the cap, is found first, so no lower level is searched."""
+    calls = count_calls(monkeypatch, oracle, "brute_force_immersion")
+    order, _cert = max_immersion_order(random_alpha2(10, 450))
+    assert order == 6 and calls["brute_force_immersion"] == 1
+
+
+@pytest.mark.parametrize("max_nodes", [1, 10, 100, 1000])
+def test_downward_search_answers_wherever_ascending_does(max_nodes):
+    budget = OracleBudget(max_nodes=max_nodes)
+    answered = 0
+    for n in range(4, 11):
+        for seed in range(6):
+            g = random_alpha2(n, seed)
+            try:
+                want, want_cert = ref_max_immersion_order(g, budget)
+            except BudgetExceeded:
+                continue
+            answered += 1
+            order, cert = max_immersion_order(g, budget)
+            assert order == want, (n, seed)
+            assert certificate_to_json(cert) == certificate_to_json(want_cert), (n, seed)
+    assert answered >= 10
+
+
+def test_downward_search_skips_a_level_out_of_budget():
+    """Level 3 runs out of 30 nodes, so the ascending search raises; the
+    downward one proves 6 and 5 absent and finds 4 first."""
+    g = random_alpha2(7, 8)
+    budget = OracleBudget(max_nodes=30)
+    with pytest.raises(BudgetExceeded):
+        ref_max_immersion_order(g, budget)
+    order, cert = max_immersion_order(g, budget)
+    assert order == 4 == max_immersion_order(g)[0]
+    assert verify_certificate(g, cert).ok
+
+
+def test_downward_search_raises_when_the_level_above_is_unknown():
+    """A found level stands only if the level above was proved absent: here
+    K4 is absent, K3 runs out of one node and K2 is found."""
+    g = random_alpha2(4, 18)
+    assert brute_force_immersion(g, 2, OracleBudget(max_nodes=1)) is not None
+    with pytest.raises(BudgetExceeded):
+        max_immersion_order(g, OracleBudget(max_nodes=1))
+    assert max_immersion_order(g, OracleBudget(max_t=2, max_nodes=1))[0] == 2
+
+
+def test_node_budget_of_one_level_is_unchanged():
+    """Exactly 32,929 DFS nodes settle K5 on random_alpha2(10, 450): the
+    edge bookkeeping must not change the search order or the node count."""
+    g = random_alpha2(10, 450)
+    assert brute_force_immersion(g, 5, OracleBudget(max_nodes=32_929)) is not None
+    with pytest.raises(BudgetExceeded):
+        brute_force_immersion(g, 5, OracleBudget(max_nodes=32_928))

@@ -229,7 +229,12 @@ def find_induced_embedding(g: Graph, h: Graph) -> tuple[int, ...] | None:
             f"n <= {MAX_HOST_5PATTERN}, got {g.n}")
     if g.n < h.n:
         return None
-    full = g.vertex_mask
+    return _induced_embedding(g, h, g.vertex_mask)
+
+
+def _induced_embedding(g: Graph, h: Graph, within: int) -> tuple[int, ...] | None:
+    """``find_induced_embedding``, ungated, in the subgraph induced on the
+    vertices of the mask ``within`` (host ids)."""
     phi: list[int] = []
 
     def extend(cands: list[int]) -> tuple[int, ...] | None:
@@ -243,7 +248,7 @@ def find_induced_embedding(g: Graph, h: Graph) -> tuple[int, ...] | None:
                 if h.has_edge(i, j):
                     narrowed[j] &= g.adj[v]
                 else:
-                    narrowed[j] &= full & ~g.adj[v] & ~(1 << v)
+                    narrowed[j] &= within & ~g.adj[v] & ~(1 << v)
                 if not narrowed[j]:
                     ok = False
                     break
@@ -256,7 +261,7 @@ def find_induced_embedding(g: Graph, h: Graph) -> tuple[int, ...] | None:
             phi.pop()
         return None
 
-    return extend([full] * h.n)
+    return extend([within] * h.n)
 
 
 def find_induced(g: Graph, h: Graph) -> frozenset[int] | None:

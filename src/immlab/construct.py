@@ -27,18 +27,26 @@ Each public route and each public extension step checks its preconditions
 once, then calls a private builder (``_extend_c4`` and ``_extend_articulated``
 for the steps); callers that have proved a builder's precondition call it
 directly.
+
+The house-free and owh-free routes (and the P4, paw, twoK2 and K3v routes)
+run the paper's induction as one loop, ``_peel``, over a mask of the live
+vertices of the input, in its own ids: a ``ClaimViolation`` raised there
+carries the input graph, and its context lists the live vertices as
+``"live"``.  Only the residue at the end is copied; a violation inside its
+build names the residue, whose vertex i is the i-th lowest live vertex.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import combinations, permutations
-from typing import Callable, Iterable
+from typing import Callable
 
 from .analysis import (
+    _induced_embedding,
     chordal_peo,
     find_hole_in_range,
     find_induced,
-    find_induced_embedding,
     independence_number,
     independent_triple,
     max_clique,
@@ -99,11 +107,11 @@ def _require_induced_at(g: Graph, verts: tuple[int, ...], name: str) -> None:
                     f"(pair ({verts[i]},{verts[j]}) is wrong)")
 
 
-def _undominated(g: Graph, verts: tuple[int, ...], edges: list[Pair]
+def _undominated(g: Graph, live: int, verts: tuple[int, ...], edges: list[Pair]
                  ) -> tuple[Pair, int] | None:
-    """The first of ``edges`` that misses a vertex outside ``verts``, with the
-    lowest vertex it misses; None when every edge dominates."""
-    scope = g.vertex_mask & ~mask_of(verts)
+    """The first of ``edges`` that misses a vertex of ``live`` outside ``verts``,
+    with the lowest vertex it misses; None when every edge dominates."""
+    scope = live & ~mask_of(verts)
     for u, v in edges:
         missed = scope & ~g.adj[u] & ~g.adj[v]
         if missed:
@@ -112,7 +120,8 @@ def _undominated(g: Graph, verts: tuple[int, ...], edges: list[Pair]
 
 
 def _require_dominating_edges(g: Graph, verts: tuple[int, ...], name: str) -> None:
-    hit = _undominated(g, verts, [(verts[i], verts[j]) for i, j in pattern(name).edges()])
+    hit = _undominated(g, g.vertex_mask, verts,
+                       [(verts[i], verts[j]) for i, j in pattern(name).edges()])
     if hit is not None:
         (u, v), w = hit
         raise PreconditionError(
@@ -150,9 +159,9 @@ def _emit(g: Graph, paths: dict[Pair, Walk], walk: list[int]) -> None:
     paths[key] = tuple(walk) if walk[0] == key[0] else tuple(reversed(walk))
 
 
-def _clique_non_neighbours(g: Graph, v: int) -> int:
-    """The non-neighbourhood of v, which independence <= 2 makes a clique."""
-    nbar = g.non_neighbors(v)
+def _clique_non_neighbours(g: Graph, live: int, v: int) -> int:
+    """The non-neighbourhood of v in ``live``, which independence <= 2 makes a clique."""
+    nbar = live & g.non_neighbors(v)
     for u in bits(nbar):
         gap = nbar & ~g.adj[u] & ~(1 << u)
         if gap:
@@ -164,10 +173,10 @@ def _clique_non_neighbours(g: Graph, v: int) -> int:
     return nbar
 
 
-def _escape_clique(g: Graph, v: int) -> ImmersionCertificate:
-    """The non-neighbourhood of v, which must be a ceil(n/2)-clique here."""
-    nbar = _clique_non_neighbours(g, v)
-    need = half_ceil(g.n)
+def _escape_clique(g: Graph, live: int, v: int) -> ImmersionCertificate:
+    """The non-neighbourhood of v in ``live``, which must be a ceil(n/2)-clique here."""
+    nbar = _clique_non_neighbours(g, live, v)
+    need = half_ceil(live.bit_count())
     members = sorted(bits(nbar))
     if len(members) < need:
         raise ClaimViolation(
@@ -176,28 +185,31 @@ def _escape_clique(g: Graph, v: int) -> ImmersionCertificate:
     return trim_certificate(direct_clique_certificate(g, members), need)
 
 
-def _lifted(g: Graph, removed: Iterable[int], build: Callable[[Graph], ImmersionCertificate]
+def _lifted(g: Graph, live: int, build: Callable[[Graph], ImmersionCertificate]
             ) -> ImmersionCertificate:
-    """``build`` run on g minus ``removed``, lifted back into g."""
-    sub, remap = g.delete_vertices(removed)
+    """``build`` run on the subgraph induced on ``live``, lifted back into g;
+    run on g itself when ``live`` is all of it."""
+    if live == g.vertex_mask:
+        return build(g)
+    sub, remap = g.induced_subgraph(bits(live))
     back = {new: old for old, new in remap.items()}
     return lift_certificate(build(sub), back, g)
 
 
-def _base_case(g: Graph) -> ImmersionCertificate | None:
-    """The shared ends of the recursive routes, at order exactly ceil(n/2):
-    a maximum clique when n <= 4, and a complete graph.  None when g is
-    neither."""
-    n = g.n
+def _base_case(g: Graph, live: int) -> ImmersionCertificate | None:
+    """The shared ends of the peeling routes on the n vertices of ``live``, at
+    order exactly ceil(n/2): a maximum clique when n <= 4, and a complete
+    graph.  None when they are neither."""
+    n = live.bit_count()
     need = half_ceil(n)
     if n <= 4:
-        omega, clique = max_clique(g)
-        if omega < need:
+        cert = _lifted(g, live, lambda sub: direct_clique_certificate(sub, max_clique(sub)[1]))
+        if cert.order < need:
             raise ClaimViolation("tiny graph with independence <= 2 lacks a "
                                  "half-order clique", graph=g)
-        return trim_certificate(direct_clique_certificate(g, clique), need)
-    if all(g.degree(v) == n - 1 for v in range(n)):
-        return trim_certificate(direct_clique_certificate(g, range(n)), need)
+        return trim_certificate(cert, need)
+    if g.is_clique(live):
+        return trim_certificate(direct_clique_certificate(g, bits(live)), need)
     return None
 
 
@@ -318,23 +330,23 @@ def extend_over_dominating_c4(g: Graph, cycle: tuple[int, int, int, int],
     a = tuple(cycle)
     _require_induced_at(g, a, "C4")
     _require_dominating_edges(g, a, "C4")
-    return _extend_c4(g, a, subcert)
+    return _extend_c4(g, g.vertex_mask, a, subcert)
 
 
-def _extend_c4(g: Graph, a: tuple[int, int, int, int],
+def _extend_c4(g: Graph, live: int, a: tuple[int, int, int, int],
                subcert: ImmersionCertificate) -> ImmersionCertificate:
-    """The construction of ``extend_over_dominating_c4``, for a C4 that is
-    induced in this order and whose every edge dominates."""
-    n = g.n
-    rest = g.vertex_mask & ~mask_of(a)
+    """The construction of ``extend_over_dominating_c4`` on ``live``, for a C4
+    that is induced in this order and whose every edge dominates."""
+    n = live.bit_count()
+    rest = live & ~mask_of(a)
     sub = _prepare_subcert(g, subcert, set(a), half_ceil(n - 4))
     mmask = mask_of(sub.branch)
     qmask = rest & ~mmask
-    nbar = [g.non_neighbors(x) for x in a]
+    nbar = [live & g.non_neighbors(x) for x in a]
 
     for i in range(4):
         if (mmask & nbar[i]).bit_count() > (qmask & g.adj[a[i]]).bit_count() + 1:
-            return _escape_clique(g, a[i])
+            return _escape_clique(g, live, a[i])
     for i in range(4):
         for j in range(i + 1, 4):
             clash = nbar[i] & nbar[j] & rest
@@ -407,7 +419,7 @@ def extend_over_dominating_c5(g: Graph, cycle: tuple[int, int, int, int, int],
     """
     _require_induced_at(g, tuple(cycle), "C5")
     _require_dominating_edges(g, tuple(cycle), "C5")
-    return _extend_articulated(g, tuple(cycle[:4]), cycle[4], subcert)
+    return _extend_articulated(g, g.vertex_mask, tuple(cycle[:4]), cycle[4], subcert)
 
 
 def extend_over_dominating_p4(g: Graph, path: tuple[int, int, int, int],
@@ -416,12 +428,12 @@ def extend_over_dominating_p4(g: Graph, path: tuple[int, int, int, int],
     ceil(n/2) certificate of g.  ``path`` lists the path in order."""
     _require_induced_at(g, tuple(path), "P4")
     _require_dominating_edges(g, tuple(path), "P4")
-    return _extend_articulated(g, tuple(path), None, subcert)
+    return _extend_articulated(g, g.vertex_mask, tuple(path), None, subcert)
 
 
-def _extend_articulated(g: Graph, p: tuple[int, int, int, int], a5: int | None,
+def _extend_articulated(g: Graph, live: int, p: tuple[int, int, int, int], a5: int | None,
                         subcert: ImmersionCertificate) -> ImmersionCertificate:
-    """Shared engine for the dominating-C5 and dominating-P4 extensions.
+    """Shared engine for the dominating-C5 and dominating-P4 extensions on ``live``.
 
     The removed part is the path p = (a1, a2, a3, a4); for the C5 case a5
     closes the cycle and is *not* removed.  Strategy: pick the path end a4 and
@@ -431,22 +443,22 @@ def _extend_articulated(g: Graph, p: tuple[int, int, int, int], a5: int | None,
     along the path itself.  The fifth cycle vertex may appear as a connector
     of last resort, which reroutes one fan path and the a_ell--a4 join.
     """
-    n = g.n
+    n = live.bit_count()
     a1, a2, a3, a4 = p
     hverts = p + ((a5,) if a5 is not None else ())
     hmask = mask_of(hverts)
-    outside = g.vertex_mask & ~hmask
+    outside = live & ~hmask
     sub = _prepare_subcert(g, subcert, set(p), half_ceil(n - 4))
     mmask = mask_of(sub.branch)
-    qmask = g.vertex_mask & ~mask_of(p) & ~mmask
-    nbar = {x: g.non_neighbors(x) for x in p}
+    qmask = live & ~mask_of(p) & ~mmask
+    nbar = {x: live & g.non_neighbors(x) for x in p}
 
     # Escapes: a path end overloaded at all, or a middle vertex overloaded
     # beyond its one-vertex slack, owns a ceil(n/2) clique of non-neighbours.
     for i, ai in enumerate(p, start=1):
         slack = 0 if i in (1, 4) else 1
         if (mmask & nbar[ai]).bit_count() > (qmask & g.adj[ai]).bit_count() + slack:
-            return _escape_clique(g, ai)
+            return _escape_clique(g, live, ai)
 
     # Outside the 5- or 4-vertex structure, nobody misses two path vertices.
     for (x, y) in combinations(p, 2):
@@ -565,7 +577,7 @@ def _extend_articulated(g: Graph, p: tuple[int, int, int, int], a5: int | None,
     return ImmersionCertificate(g.sha256(), branch, paths)
 
 
-# -- house-free graphs -------------------------------------------------------------
+# -- house-free and owh-free graphs: peeling ------------------------------------------
 
 
 def house_free_immersion(g: Graph) -> ImmersionCertificate:
@@ -578,30 +590,6 @@ def house_free_immersion(g: Graph) -> ImmersionCertificate:
     return _house_free_inner(g)
 
 
-def _house_free_inner(g: Graph) -> ImmersionCertificate:
-    base = _base_case(g)
-    if base is not None:
-        return base
-    emb = find_induced_embedding(g, pattern("C4"))
-    if emb is None:
-        return trim_certificate(_hole_free_build(g, 2), half_ceil(g.n))
-    fmask = mask_of(emb)
-    for u in bits(g.vertex_mask & ~fmask):
-        if (g.adj[u] & fmask).bit_count() < 3:
-            raise ClaimViolation(
-                "every vertex outside an induced 4-cycle must see at least "
-                "three of it (fewer forces a house or an independent triple)",
-                graph=g,
-                context={"vertex": u, "cycle": emb,
-                         "sees": sorted(bits(g.adj[u] & fmask))})
-    # The embedding is induced in cycle order, and a vertex seeing three of
-    # the four cycle vertices sees an end of every cycle edge.
-    return _extend_c4(g, emb, _lifted(g, emb, _house_free_inner))
-
-
-# -- owh-free graphs (triangle with a two-edge tail) ----------------------------------
-
-
 def owh_free_immersion(g: Graph) -> ImmersionCertificate:
     """K_{ceil(n/2)} immersion for graphs with independence <= 2 and no
     induced triangle-with-a-two-edge-tail (the 5-vertex "owh" pattern)."""
@@ -610,15 +598,68 @@ def owh_free_immersion(g: Graph) -> ImmersionCertificate:
     return _owh_free_inner(g)
 
 
-def _owh_free_inner(g: Graph) -> ImmersionCertificate:
-    base = _base_case(g)
-    if base is not None:
-        return base
-    a = find_induced_embedding(g, pattern("P4"))
+def _peel(g: Graph, p4_steps: bool) -> ImmersionCertificate:
+    """The induction of the house-free and owh-free routes as one loop over
+    the mask ``live`` of the vertices not yet peeled.  Going in, each step
+    peels a dominating induced P4 while ``p4_steps`` holds and one is left
+    (peeling creates none), else a dominating induced C4, down to a base case
+    or a C4-free rest.  Coming out, the extensions run in reverse order, each
+    on the live set of its step.  A ``ClaimViolation`` gains ``"live"``."""
+    live = g.vertex_mask
+    steps: list[tuple[int, Callable[[ImmersionCertificate], ImmersionCertificate]]] = []
+    try:
+        while (cert := _base_case(g, live)) is None:
+            step = _p4_step(g, live) if p4_steps else None
+            if step is None:
+                p4_steps = False
+                step = _c4_step(g, live)
+            if step is None:
+                # No induced C4 and independence <= 2: no hole in [4, 4].
+                cert = trim_certificate(_lifted(g, live, lambda sub: _hole_free_build(sub, 2)),
+                                        half_ceil(live.bit_count()))
+                break
+            peeled, extend = step
+            steps.append((live, extend))
+            live &= ~mask_of(peeled)
+        for live, extend in reversed(steps):
+            cert = extend(cert)
+    except ClaimViolation as exc:
+        exc.context["live"] = sorted(bits(live))
+        raise
+    return cert
+
+
+_house_free_inner = partial(_peel, p4_steps=False)
+_owh_free_inner = partial(_peel, p4_steps=True)
+
+
+def _c4_step(g: Graph, live: int) -> tuple[tuple[int, ...], partial] | None:
+    """An induced C4 of the live set and its extension; house-freeness makes
+    it dominate.  None when the live set has no induced C4."""
+    cycle = _induced_embedding(g, pattern("C4"), live)
+    if cycle is None:
+        return None
+    fmask = mask_of(cycle)
+    for u in bits(live & ~fmask):
+        if (g.adj[u] & fmask).bit_count() < 3:
+            raise ClaimViolation(
+                "every vertex outside an induced 4-cycle must see at least "
+                "three of it (fewer forces a house or an independent triple)",
+                graph=g,
+                context={"vertex": u, "cycle": cycle,
+                         "sees": sorted(bits(g.adj[u] & fmask))})
+    # The embedding is induced in cycle order, and a vertex seeing three of
+    # the four cycle vertices sees an end of every cycle edge.
+    return cycle, partial(_extend_c4, g, live, cycle)
+
+
+def _p4_step(g: Graph, live: int) -> tuple[tuple[int, ...], partial] | None:
+    """An induced P4 of the live set and its extension; owh-freeness makes
+    it dominate, or close a dominating C5.  None when there is no induced P4."""
+    a = _induced_embedding(g, pattern("P4"), live)
     if a is None:
-        # No induced P4 at all; the house contains one, so the house engine applies.
-        return _house_free_inner(g)
-    hit = _undominated(g, a, [(a[0], a[1]), (a[2], a[3])])
+        return None
+    hit = _undominated(g, live, a, [(a[0], a[1]), (a[2], a[3])])
     if hit is not None:
         raise ClaimViolation(
             "an end edge of an induced path fails to dominate, which "
@@ -626,7 +667,7 @@ def _owh_free_inner(g: Graph) -> ImmersionCertificate:
             graph=g, context={"path": a, "edge": hit[0], "vertex": hit[1]})
     # The embedding is an induced P4 in path order, so once its middle edge
     # dominates too, the P4 extension's preconditions hold.
-    mid = _undominated(g, a, [(a[1], a[2])])
+    mid = _undominated(g, live, a, [(a[1], a[2])])
     a5 = None
     if mid is not None:
         # The middle edge misses someone: that someone sees exactly the two
@@ -637,13 +678,13 @@ def _owh_free_inner(g: Graph) -> ImmersionCertificate:
                 "vertex missing the middle edge must see both path ends",
                 graph=g, context={"path": a, "vertex": a5})
         cycle = a + (a5,)
-        hit = _undominated(g, cycle, [(cycle[i], cycle[(i + 1) % 5]) for i in range(5)])
+        hit = _undominated(g, live, cycle, [(cycle[i], cycle[(i + 1) % 5]) for i in range(5)])
         if hit is not None:
             raise ClaimViolation(
                 "a 5-cycle edge fails to dominate, which forces the "
                 "forbidden triangle-with-tail",
                 graph=g, context={"cycle": cycle, "edge": hit[0], "vertex": hit[1]})
-    return _extend_articulated(g, a, a5, _lifted(g, a, _owh_free_inner))
+    return a, partial(_extend_articulated, g, live, a, a5)
 
 
 # -- K4-free graphs (at most 8 vertices) ------------------------------------------------
@@ -662,7 +703,7 @@ def _k4_free_inner(g: Graph) -> ImmersionCertificate:
         raise ClaimViolation(
             "a K4-free graph with independence number at most 2 cannot have "
             "nine or more vertices", graph=g)
-    base = _base_case(g)
+    base = _base_case(g, g.vertex_mask)
     if base is not None:
         return base
     if n == 5:
@@ -676,7 +717,7 @@ def _k4_free_inner(g: Graph) -> ImmersionCertificate:
                 "carry a cycle", graph=g)
         return _cycle_k3(g, cyc)
     if n in (6, 8):
-        return _lifted(g, [n - 1], _k4_free_inner)
+        return _lifted(g, g.vertex_mask >> 1, _k4_free_inner)
     return _k4_on_seven(g)
 
 
@@ -766,7 +807,7 @@ def _k4minus_build(g: Graph) -> tuple[ImmersionCertificate, TwoCliques | None]:
             "K4-minus-an-edge", graph=g, context={"cycle": sorted(five)})
 
     x = min(range(n), key=lambda v: (g.degree(v), v))
-    nbar = _clique_non_neighbours(g, x)
+    nbar = _clique_non_neighbours(g, g.vertex_mask, x)
     nx = g.adj[x]
     if g.is_clique(nx):
         part1 = frozenset(bits(nx)) | {x}

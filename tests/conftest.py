@@ -6,18 +6,20 @@ rather than against themselves.  All helpers are exponential and meant for
 tiny inputs only.  Two helpers are exceptions: ``count_calls`` counts how
 often a structural check runs, and ``ref_max_immersion_order`` is the plain
 ascending search over the package oracle's levels, kept to check the budget
-rule of its downward search.
+rule of its downward search.  ``p4_free_join`` and ``complement_join`` build
+the large fixtures on which the peeling routes take many steps.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from functools import reduce
 from itertools import combinations, permutations
 
 import hypothesis.strategies as st
 
 from immlab.certificates import ImmersionCertificate
-from immlab.graphs import Graph
+from immlab.graphs import Graph, join
 from immlab.oracle import brute_force_immersion
 
 
@@ -31,6 +33,19 @@ def count_calls(monkeypatch, module, *names: str) -> Counter:
             return _real(*args, **kwargs)
         monkeypatch.setattr(module, name, counting)
     return counts
+
+
+def p4_free_join(n: int) -> Graph:
+    """The join of n / 8 copies of 2K4: independence 2 and no induced P4 (its
+    complement is n / 8 disjoint copies of K_{4,4})."""
+    two_k4 = Graph.from_edges(8, [(u, v) for half in (0, 4)
+                                  for u, v in combinations(range(half, half + 4), 2)])
+    return reduce(join, [two_k4] * (n // 8))
+
+
+def complement_join(*parts: Graph) -> Graph:
+    """The complement of the disjoint union of ``parts``."""
+    return reduce(join, [part.complement() for part in parts])
 
 
 def edge_key(a: int, b: int) -> tuple[int, int]:

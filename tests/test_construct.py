@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 from itertools import combinations
 
 import pytest
@@ -51,7 +52,7 @@ from immlab.graphs import (
 from immlab.inflation import inflate, inflate_cycle
 from immlab.oracle import OracleBudget, brute_force_immersion
 
-from conftest import count_calls
+from conftest import complement_join, count_calls, p4_free_join
 
 
 def checked(g, cert, order):
@@ -171,6 +172,30 @@ def test_c4_extension_validates_cycle_and_subcert():
     wrong_host = ImmersionCertificate("0" * 64, sub.branch, sub.paths)
     with pytest.raises(PreconditionError):
         extend_over_dominating_c4(g, planted, wrong_host)
+
+
+@pytest.mark.parametrize("extend, family, n", [
+    (extend_over_dominating_c4, dominating_c4_family, 10),
+    (extend_over_dominating_c5, dominating_c5_family, 11),
+    (extend_over_dominating_p4, dominating_p4_family, 10),
+], ids=["c4", "c5", "p4"])
+def test_extensions_check_the_subcert(extend, family, n):
+    """Each public step rejects a sub-certificate over another host, one
+    below order ceil((n-4)/2), and one that touches a removed vertex (the
+    fourth planted vertex, which every step removes)."""
+    g, planted = family(n, 0)
+    need = half_ceil(n - 4)
+    others = [v for v in range(n) if v not in planted]
+    cases = [
+        ("0" * 64, others[:need], "not over this host graph"),
+        (g.sha256(), others[:need - 1], f"order {need - 1} is below the required {need}"),
+        (g.sha256(), [planted[3]] + others[:need - 1],
+         rf"touches removed vertices \[{planted[3]}\]"),
+    ]
+    for host_hash, branch, message in cases:
+        sub = ImmersionCertificate(host_hash, tuple(sorted(branch)), {})
+        with pytest.raises(PreconditionError, match=message):
+            extend(g, planted, sub)
 
 
 def test_c5_extension_regression_near_miss_apex():
@@ -439,12 +464,13 @@ def test_auto_immersion_large_all_patterns_is_out_of_reach():
 
 
 def count_precondition_calls(monkeypatch):
-    """Counting wrappers on the searches construct imports; the induced search
-    is also wrapped in analysis, where ``find_induced`` calls it."""
+    """Counting wrappers on the searches construct imports (the peeling
+    routes' induced search is ``_induced_embedding``); the public induced
+    search is wrapped in analysis, where ``find_induced`` calls it."""
     log = []
     for module, name in ((construct, "independent_triple"),
                          (construct, "find_hole_in_range"),
-                         (construct, "find_induced_embedding"),
+                         (construct, "_induced_embedding"),
                          (analysis, "find_induced_embedding")):
         def counting(*args, _name=name, _real=getattr(module, name)):
             log.append((_name, args))
@@ -465,6 +491,7 @@ def test_auto_asks_each_precondition_once(monkeypatch):
     checked(g, cert, half_ceil(g.n))
     assert calls_of(log, "independent_triple") == 1
     assert calls_of(log, "find_induced_embedding", pattern("C4")) == 1
+    assert not [args for name, args in log if name == "_induced_embedding"]
     assert calls_of(log, "find_hole_in_range", 4, 4) == 0
 
 
@@ -476,17 +503,62 @@ def test_k4minus_route_asks_each_precondition_once(monkeypatch):
     assert calls_of(log, "find_induced_embedding", pattern("K4minus")) == 1
 
 
+#: Hosts on which the house route and the owh route each take 15 steps:
+#: dominating C4s of the P4-free join, dominating P4s of the complement of C64.
+PEEL_HOSTS = {"house": lambda: p4_free_join(64),
+              "owh": lambda: complement_join(cycle_graph(64))}
+
+
 @pytest.mark.parametrize("route, name", [(house_free_immersion, "house"),
                                          (owh_free_immersion, "owh")])
 def test_recursive_routes_skip_the_extension_checks(monkeypatch, route, name):
-    """The peeling loops prove each dominating structure they find, so they
-    call the extension builders, not the checking public steps."""
-    g = random_hfree_alpha2(name, 16, 3)
-    counts = count_calls(monkeypatch, construct,
+    """The peeling loop proves each dominating structure it finds, so it
+    calls the extension builders, not the checking public steps, and it
+    copies the graph at most once, for what is left at the end."""
+    g = PEEL_HOSTS[name]()
+    counts = count_calls(monkeypatch, construct, "_extend_c4", "_extend_articulated",
                          "_require_induced_at", "_require_dominating_edges")
+    copies = count_calls(monkeypatch, Graph, "induced_subgraph")
     checked(g, route(g), half_ceil(g.n))
+    assert counts["_extend_c4"] + counts["_extend_articulated"] == 15
     assert counts["_require_induced_at"] == 0
     assert counts["_require_dominating_edges"] == 0
+    assert copies["induced_subgraph"] <= 1
+
+
+@pytest.mark.parametrize("host, name", [(lambda: p4_free_join(512), "P4"),
+                                        (lambda: complement_join(cycle_graph(512)), "twoK2")],
+                         ids=["p4-free-join-512", "co-C512"])
+def test_peeling_depth_does_not_grow_the_stack(host, name):
+    """127 steps run in 200 frames above the caller: the peel is a loop."""
+    g = host()
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 200)
+    try:
+        cert = pattern_free_immersion(g, name)
+    finally:
+        sys.setrecursionlimit(limit)
+    checked(g, cert, half_ceil(g.n))
+
+
+def test_peeling_violation_names_input_vertices():
+    """The C4 0-1-2-3 is joined to the C4 4-5-6-7 and to vertex 8, which
+    sees only 4 and 5 of the second cycle: after the first cycle is peeled,
+    8 breaks the three-of-four claim for the second, and the violation says
+    so in the input's ids."""
+    c4 = [(0, 1), (1, 2), (2, 3), (0, 3)]
+    edges = c4 + [(u + 4, v + 4) for u, v in c4] + [(8, 4), (8, 5)]
+    edges += [(u, v) for u in range(4) for v in range(4, 9)]
+    g = Graph.from_edges(9, edges)
+    with pytest.raises(ClaimViolation, match="must see at least three") as info:
+        construct._house_free_inner(g)
+    assert info.value.graph == g
+    assert info.value.context["vertex"] == 8
+    assert info.value.context["cycle"] == (4, 5, 6, 7)
+    assert info.value.context["live"] == [4, 5, 6, 7, 8]
 
 
 def test_hole_free_build_reports_a_non_inflation_as_claim_violation():

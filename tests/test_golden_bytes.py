@@ -19,9 +19,11 @@ import pytest
 from immlab.certificates import certificate_to_json, verify_certificate
 from immlab.cli import _solve_with_method
 from immlab.gen import forbholes_family, random_alpha2, random_hfree_alpha2, random_inflation
-from immlab.graphs import FOUR_VERTEX_PATTERNS, complete_graph, cycle_graph, join
+from immlab.graphs import FOUR_VERTEX_PATTERNS, complete_graph, cycle_graph, join, path_graph
 from immlab.inflation import inflate, inflate_cycle, inflate_path
 from immlab.oracle import OracleBudget, brute_force_immersion, max_immersion_order
+
+from conftest import complement_join, p4_free_join
 
 
 def c5k3_join_k2():
@@ -74,6 +76,25 @@ GOLDEN = {
     "vergara:K4": "4e31e2fe2a6a28ae2f8f3605af264e8840a11ac6b6efef337378700b5e63ce68",
 }
 
+def co_cycles_and_paths():
+    return ([complement_join(base(k)) for k in (16, 33, 64, 128)
+             for base in (cycle_graph, path_graph)]
+            + [complement_join(cycle_graph(5), cycle_graph(7), path_graph(6), cycle_graph(9)),
+               complement_join(cycle_graph(6), cycle_graph(6), cycle_graph(6))])
+
+
+#: Deep peels: (fixtures, routes, pinned digest); every route must give the
+#: family's digest.  The house and owh routes take up to 63 dominating-C4 or
+#: -P4 steps on these graphs, where the fixtures of ``GOLDEN`` take at most
+#: a couple.
+DEEP_GOLDEN = {
+    "p4-free-join": (lambda: [p4_free_join(n) for n in (32, 64, 128, 256)],
+                     ("vergara:P4", "house", "auto"),
+                     "511c1e49e0b3e26919c1c976b506b59061f1529b776ba00fbdabd9479b561e42"),
+    "co-cycles-paths": (co_cycles_and_paths, ("vergara:twoK2", "vergara:K3v", "owh", "auto"),
+                        "ea64c39762705179bb20d4e61021a18c0e64a8ca5270226f450794f8f1ab7c55"),
+}
+
 K4MINUS_PARTS = [
     ([0, 4], [1, 2, 3, 5]),
     ([3, 4, 5], [0, 1, 2, 6]),
@@ -86,9 +107,9 @@ TOKENS = (["forbholes", "house", "owh", "k4", "k4minus", "oracle", "auto"]
           + [f"vergara:{p}" for p in FOUR_VERTEX_PATTERNS])
 
 
-def route_digest(token):
+def route_digest(token, graphs=None):
     lines = []
-    for g in fixtures(token):
+    for g in fixtures(token) if graphs is None else graphs:
         _token, cert, _parts = _solve_with_method(g, token)
         assert verify_certificate(g, cert).ok
         lines.append(certificate_to_json(cert))
@@ -98,6 +119,13 @@ def route_digest(token):
 @pytest.mark.parametrize("token", TOKENS)
 def test_certificate_bytes_are_pinned(token):
     assert route_digest(token) == GOLDEN[token]
+
+
+@pytest.mark.parametrize("family, token", [(family, token) for family, (_, tokens, _)
+                                           in DEEP_GOLDEN.items() for token in tokens])
+def test_deep_peel_bytes_are_pinned(family, token):
+    graphs, _tokens, golden = DEEP_GOLDEN[family]
+    assert route_digest(token, graphs()) == golden
 
 
 def test_k4minus_partitions_are_pinned():

@@ -25,15 +25,17 @@ The routines and their guarantees:
 
 Each public route and each public extension step checks its preconditions
 once, then calls a private builder (``_extend_c4`` and ``_extend_articulated``
-for the steps); callers that have proved a builder's precondition call it
-directly.
+for the steps, which grow the checked sub-certificate's path dict in place);
+callers that have proved a builder's precondition call it directly.
 
 The house-free and owh-free routes (and the P4, paw, twoK2 and K3v routes)
 run the paper's induction as one loop, ``_peel``, over a mask of the live
 vertices of the input, in its own ids: a ``ClaimViolation`` raised there
-carries the input graph, and its context lists the live vertices as
-``"live"``.  Only the residue at the end is copied; a violation inside its
-build names the residue, whose vertex i is the i-th lowest live vertex.
+carries the input graph and lists the live vertices as ``"live"``.  The
+loop's builders extend one path dict, and ``_emit`` keeps each walk inside
+its step's live set, so no step copies or rescans the sub-certificate.  Only
+the residue at the end is copied; a violation inside its build names the
+residue, whose vertex i is the i-th lowest live vertex.
 """
 
 from __future__ import annotations
@@ -128,27 +130,32 @@ def _require_dominating_edges(g: Graph, verts: tuple[int, ...], name: str) -> No
             f"edge ({u},{v}) of the {name} does not dominate vertex {w}")
 
 
-def _prepare_subcert(g: Graph, subcert: ImmersionCertificate,
-                     removed: set[int], target: int) -> ImmersionCertificate:
-    """Trim the sub-certificate to its required order and insist it keeps off
-    the removed vertices."""
+def _prepare_subcert(g: Graph, subcert: ImmersionCertificate, verts: tuple[int, ...],
+                     name: str) -> ImmersionCertificate:
+    """A public step's checks: ``verts`` induce ``name`` in this order, its
+    edges dominate, and ``subcert`` is over g and keeps off ``verts[:4]``.
+    Returns it trimmed to order ceil((n-4)/2), in a fresh path dict that the
+    builder may grow."""
+    _require_induced_at(g, verts, name)
+    _require_dominating_edges(g, verts, name)
+    target = half_ceil(g.n - 4)
     if subcert.host_hash != g.sha256():
         raise PreconditionError("sub-certificate is not over this host graph")
     if subcert.order < target:
         raise PreconditionError(
             f"sub-certificate order {subcert.order} is below the required {target}")
     sub = trim_certificate(subcert, target)
-    touched = set(sub.branch)
-    for walk in sub.paths.values():
-        touched.update(walk)
-    if touched & removed:
-        raise PreconditionError(
-            f"sub-certificate touches removed vertices {sorted(touched & removed)}")
+    touched = set(sub.branch).union(*sub.paths.values()).intersection(verts[:4])
+    if touched:
+        raise PreconditionError(f"sub-certificate touches removed vertices {sorted(touched)}")
     return sub
 
 
-def _emit(g: Graph, paths: dict[Pair, Walk], walk: list[int]) -> None:
-    """Record a path after checking each claimed adjacency really is an edge."""
+def _emit(g: Graph, live: int, paths: dict[Pair, Walk], walk: list[int]) -> None:
+    """Record a path after checking it stays inside ``live`` and each claimed
+    adjacency really is an edge."""
+    if mask_of(walk) & ~live:
+        raise AssertionError(f"walk {walk} leaves the live vertices")
     for x, y in zip(walk, walk[1:]):
         if not g.has_edge(x, y):
             raise ClaimViolation("construction would use a non-edge", graph=g,
@@ -216,9 +223,9 @@ def _base_case(g: Graph, live: int) -> ImmersionCertificate | None:
 def _cycle_k3(g: Graph, cycle: tuple[int, ...]) -> ImmersionCertificate:
     """K3 immersion riding a cycle: two short edges plus the long arc."""
     paths: dict[Pair, Walk] = {}
-    _emit(g, paths, [cycle[0], cycle[1]])
-    _emit(g, paths, [cycle[1], cycle[2]])
-    _emit(g, paths, [cycle[0]] + [cycle[i] for i in range(len(cycle) - 1, 1, -1)])
+    _emit(g, g.vertex_mask, paths, [cycle[0], cycle[1]])
+    _emit(g, g.vertex_mask, paths, [cycle[1], cycle[2]])
+    _emit(g, g.vertex_mask, paths, [cycle[0], *cycle[:1:-1]])
     return ImmersionCertificate(g.sha256(), tuple(sorted(cycle[:3])), paths)
 
 
@@ -328,18 +335,16 @@ def extend_over_dominating_c4(g: Graph, cycle: tuple[int, int, int, int],
     vertices and fresh outside connectors.
     """
     a = tuple(cycle)
-    _require_induced_at(g, a, "C4")
-    _require_dominating_edges(g, a, "C4")
-    return _extend_c4(g, g.vertex_mask, a, subcert)
+    return _extend_c4(g, g.vertex_mask, a, _prepare_subcert(g, subcert, a, "C4"))
 
 
 def _extend_c4(g: Graph, live: int, a: tuple[int, int, int, int],
-               subcert: ImmersionCertificate) -> ImmersionCertificate:
+               sub: ImmersionCertificate) -> ImmersionCertificate:
     """The construction of ``extend_over_dominating_c4`` on ``live``, for a C4
-    that is induced in this order and whose every edge dominates."""
-    n = live.bit_count()
+    that is induced in this order and whose every edge dominates, and a
+    ``sub`` of order ceil((|live|-4)/2) off the cycle.  The result keeps
+    ``sub.paths``, grown in place; an escape returns a fresh certificate."""
     rest = live & ~mask_of(a)
-    sub = _prepare_subcert(g, subcert, set(a), half_ceil(n - 4))
     mmask = mask_of(sub.branch)
     qmask = rest & ~mmask
     nbar = [live & g.non_neighbors(x) for x in a]
@@ -363,8 +368,6 @@ def _extend_c4(g: Graph, live: int, a: tuple[int, int, int, int],
     nbar = nbar[j:] + nbar[:j]
     a1, a2, a3, a4 = a
 
-    paths: dict[Pair, Walk] = dict(sub.paths)
-
     # Fan into a4: the least non-neighbour rides through a3 directly; the
     # others borrow a connector adjacent to a4, preferring connectors that
     # the a1 fan cannot use anyway.
@@ -372,7 +375,7 @@ def _extend_c4(g: Graph, live: int, a: tuple[int, int, int, int],
     q4 = qmask & g.adj[a4]
     used_connectors: set[int] = set()
     if m4:
-        _emit(g, paths, [m4[0], a3, a4])
+        _emit(g, live, sub.paths, [m4[0], a3, a4])
     targets4 = sorted(bits(q4 & nbar[0])) + sorted(bits(q4 & ~nbar[0]))
     if len(m4) - 1 > len(targets4):
         raise ClaimViolation(
@@ -381,14 +384,14 @@ def _extend_c4(g: Graph, live: int, a: tuple[int, int, int, int],
     for x, t in zip(m4[1:], targets4):
         used_connectors.add(t)
         mid = a2 if g.has_edge(t, a2) else a3
-        _emit(g, paths, [x, mid, t, a4])
+        _emit(g, live, sub.paths, [x, mid, t, a4])
     for x in bits(mmask & g.adj[a4]):
-        _emit(g, paths, [x, a4])
+        _emit(g, live, sub.paths, [x, a4])
 
     # Fan into a1, avoiding connectors the a4 fan consumed.
     m1 = sorted(bits(mmask & nbar[0]))
     if m1:
-        _emit(g, paths, [m1[0], a2, a1])
+        _emit(g, live, sub.paths, [m1[0], a2, a1])
     targets1 = [t for t in sorted(bits(qmask & g.adj[a1])) if t not in used_connectors]
     if len(m1) - 1 > len(targets1):
         raise ClaimViolation(
@@ -396,15 +399,15 @@ def _extend_c4(g: Graph, live: int, a: tuple[int, int, int, int],
             graph=g, context={"cycle": a, "sources": m1, "targets": targets1})
     for y, t in zip(m1[1:], targets1):
         mid = a2 if g.has_edge(t, a2) else a3
-        _emit(g, paths, [y, mid, t, a1])
+        _emit(g, live, sub.paths, [y, mid, t, a1])
     for y in bits(mmask & g.adj[a1]):
-        _emit(g, paths, [y, a1])
+        _emit(g, live, sub.paths, [y, a1])
 
-    _emit(g, paths, [a1, a4])
+    _emit(g, live, sub.paths, [a1, a4])
     branch = tuple(sorted(set(sub.branch) | {a1, a4}))
-    if len(branch) != half_ceil(n):
+    if len(branch) != half_ceil(live.bit_count()):
         raise AssertionError("extension produced the wrong order")
-    return ImmersionCertificate(g.sha256(), branch, paths)
+    return ImmersionCertificate(g.sha256(), branch, sub.paths)
 
 
 def extend_over_dominating_c5(g: Graph, cycle: tuple[int, int, int, int, int],
@@ -417,23 +420,22 @@ def extend_over_dominating_c5(g: Graph, cycle: tuple[int, int, int, int, int],
     throughout, since it is the unique outside-the-path vertex allowed to miss
     two of the removed vertices.
     """
-    _require_induced_at(g, tuple(cycle), "C5")
-    _require_dominating_edges(g, tuple(cycle), "C5")
-    return _extend_articulated(g, g.vertex_mask, tuple(cycle[:4]), cycle[4], subcert)
+    sub = _prepare_subcert(g, subcert, tuple(cycle), "C5")
+    return _extend_articulated(g, g.vertex_mask, tuple(cycle[:4]), cycle[4], sub)
 
 
 def extend_over_dominating_p4(g: Graph, path: tuple[int, int, int, int],
                               subcert: ImmersionCertificate) -> ImmersionCertificate:
     """Grow a certificate of g minus an induced dominating P4 into a
     ceil(n/2) certificate of g.  ``path`` lists the path in order."""
-    _require_induced_at(g, tuple(path), "P4")
-    _require_dominating_edges(g, tuple(path), "P4")
-    return _extend_articulated(g, g.vertex_mask, tuple(path), None, subcert)
+    sub = _prepare_subcert(g, subcert, tuple(path), "P4")
+    return _extend_articulated(g, g.vertex_mask, tuple(path), None, sub)
 
 
 def _extend_articulated(g: Graph, live: int, p: tuple[int, int, int, int], a5: int | None,
-                        subcert: ImmersionCertificate) -> ImmersionCertificate:
-    """Shared engine for the dominating-C5 and dominating-P4 extensions on ``live``.
+                        sub: ImmersionCertificate) -> ImmersionCertificate:
+    """Shared engine for the dominating-C5 and dominating-P4 extensions on
+    ``live``, growing ``sub`` as ``_extend_c4`` does.
 
     The removed part is the path p = (a1, a2, a3, a4); for the C5 case a5
     closes the cycle and is *not* removed.  Strategy: pick the path end a4 and
@@ -443,12 +445,10 @@ def _extend_articulated(g: Graph, live: int, p: tuple[int, int, int, int], a5: i
     along the path itself.  The fifth cycle vertex may appear as a connector
     of last resort, which reroutes one fan path and the a_ell--a4 join.
     """
-    n = live.bit_count()
     a1, a2, a3, a4 = p
     hverts = p + ((a5,) if a5 is not None else ())
     hmask = mask_of(hverts)
     outside = live & ~hmask
-    sub = _prepare_subcert(g, subcert, set(p), half_ceil(n - 4))
     mmask = mask_of(sub.branch)
     qmask = live & ~mask_of(p) & ~mmask
     nbar = {x: live & g.non_neighbors(x) for x in p}
@@ -507,7 +507,6 @@ def _extend_articulated(g: Graph, live: int, p: tuple[int, int, int, int], a5: i
             "connector sees none of the available middle vertices",
             graph=g, context={"connector": t, "path": p, "banned": p[banned - 1]})
 
-    paths: dict[Pair, Walk] = dict(sub.paths)
     ml = sorted(bits(mmask & nbar[al]))
     tl = [t for t in sorted(bits(qmask & g.adj[al])) if t not in q_f and t != a5]
 
@@ -529,23 +528,23 @@ def _extend_articulated(g: Graph, live: int, p: tuple[int, int, int, int], a5: i
                     "not enough connectors beside the near path end",
                     graph=g, context={"path": p, "sources": ml, "targets": tl})
             if ml:
-                _emit(g, paths, [ml[0], a2, a1])
+                _emit(g, live, sub.paths, [ml[0], a2, a1])
             for y, t in zip(ml[1:], tl):
-                _emit(g, paths, [y, fan_mid(t, 1), t, a1])
+                _emit(g, live, sub.paths, [y, fan_mid(t, 1), t, a1])
         else:
             if len(ml) > len(tl):
                 raise ClaimViolation(
                     "not enough connectors beside the near path end",
                     graph=g, context={"path": p, "sources": ml, "targets": tl})
             for y, t in zip(ml, tl):
-                _emit(g, paths, [y, fan_mid(t, 1), t, a1])
+                _emit(g, live, sub.paths, [y, fan_mid(t, 1), t, a1])
         for x in fsources:
             t = fmap[x]
             if t == a5:
-                _emit(g, paths, [x, a2, a3, a4])
+                _emit(g, live, sub.paths, [x, a2, a3, a4])
             else:
-                _emit(g, paths, [x, fan_mid(t, 1), t, a4])
-        _emit(g, paths, join_walk)
+                _emit(g, live, sub.paths, [x, fan_mid(t, 1), t, a4])
+        _emit(g, live, sub.paths, join_walk)
     else:
         if len(ml) - 1 > len(tl):
             raise ClaimViolation(
@@ -554,27 +553,27 @@ def _extend_articulated(g: Graph, live: int, p: tuple[int, int, int, int], a5: i
                                   "sources": ml, "targets": tl})
         if ml:
             w = a5 if (a5 is not None and (mmask >> a5 & 1) and a5 in ml) else ml[0]
-            _emit(g, paths, [w] + list(p[:ell - 1]) + [al])
+            _emit(g, live, sub.paths, [w] + list(p[:ell - 1]) + [al])
             grest = [y for y in ml if y != w]
             for y, t in zip(grest, tl):
-                _emit(g, paths, [y, fan_mid(t, ell), t, al])
+                _emit(g, live, sub.paths, [y, fan_mid(t, ell), t, al])
         for x in fsources:
             t = fmap[x]
             if t == a5:
-                _emit(g, paths, [x, a1, a5, a4])
+                _emit(g, live, sub.paths, [x, a1, a5, a4])
             else:
-                _emit(g, paths, [x, fan_mid(t, ell), t, a4])
-        _emit(g, paths, list(p[ell - 1:]))
+                _emit(g, live, sub.paths, [x, fan_mid(t, ell), t, a4])
+        _emit(g, live, sub.paths, list(p[ell - 1:]))
 
     for x in bits(mmask & g.adj[a4]):
-        _emit(g, paths, [x, a4])
+        _emit(g, live, sub.paths, [x, a4])
     for y in bits(mmask & g.adj[al]):
-        _emit(g, paths, [y, al])
+        _emit(g, live, sub.paths, [y, al])
 
     branch = tuple(sorted(set(sub.branch) | {al, a4}))
-    if len(branch) != half_ceil(n):
+    if len(branch) != half_ceil(live.bit_count()):
         raise AssertionError("extension produced the wrong order")
-    return ImmersionCertificate(g.sha256(), branch, paths)
+    return ImmersionCertificate(g.sha256(), branch, sub.paths)
 
 
 # -- house-free and owh-free graphs: peeling ------------------------------------------
@@ -767,10 +766,10 @@ def _k4_on_seven(g: Graph) -> ImmersionCertificate:
                         continue
                     paths: dict[Pair, Walk] = {}
                     for u, v in combinations(sorted(tri), 2):
-                        _emit(g, paths, [u, v])
-                    _emit(g, paths, [b2, m2])
-                    _emit(g, paths, [b2, m3])
-                    _emit(g, paths, route)
+                        _emit(g, g.vertex_mask, paths, [u, v])
+                    _emit(g, g.vertex_mask, paths, [b2, m2])
+                    _emit(g, g.vertex_mask, paths, [b2, m3])
+                    _emit(g, g.vertex_mask, paths, route)
                     branch = tuple(sorted(tri + (b2,)))
                     return ImmersionCertificate(g.sha256(), branch, paths)
     raise ClaimViolation(
@@ -901,6 +900,7 @@ def pattern_free_immersion(g: Graph, pattern_name: str) -> ImmersionCertificate:
 def _pattern_free_build(g: Graph, pattern_name: str) -> ImmersionCertificate:
     """The pattern's builder, trimmed to ceil(n/2) and re-verified."""
     cert = trim_certificate(_PATTERN_BUILDERS[pattern_name](g), half_ceil(g.n))
+    # Kept: a bad build is an internal bug (exit 5), not a verdict on the input (exit 1).
     verdict = verify_certificate(g, cert)
     if not verdict.ok:
         raise AssertionError(f"constructed certificate failed verification: {verdict}")

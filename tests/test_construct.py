@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import sys
 from itertools import combinations
 
@@ -182,7 +183,8 @@ def test_c4_extension_validates_cycle_and_subcert():
 def test_extensions_check_the_subcert(extend, family, n):
     """Each public step rejects a sub-certificate over another host, one
     below order ceil((n-4)/2), and one that touches a removed vertex (the
-    fourth planted vertex, which every step removes)."""
+    fourth planted vertex, which every step removes).  A good one, already at
+    that order, comes back unchanged: the builders grow their own copy."""
     g, planted = family(n, 0)
     need = half_ceil(n - 4)
     others = [v for v in range(n) if v not in planted]
@@ -196,6 +198,26 @@ def test_extensions_check_the_subcert(extend, family, n):
         sub = ImmersionCertificate(host_hash, tuple(sorted(branch)), {})
         with pytest.raises(PreconditionError, match=message):
             extend(g, planted, sub)
+    sub_g, remap = g.delete_vertices(planted[:4])
+    back = {new: old for old, new in remap.items()}
+    subcert = lift_certificate(brute_force_immersion(sub_g, need, OracleBudget(max_t=9)), back, g)
+    paths, branch = dict(subcert.paths), subcert.branch
+    cert = checked(g, extend(g, planted, subcert), half_ceil(n))
+    assert cert.paths is not subcert.paths
+    assert dict(subcert.paths) == paths
+    assert subcert.branch == branch
+
+
+def test_emit_keeps_walks_inside_the_live_set():
+    """A walk leaving its step's live set is a bug in the construction, not a
+    claim about the input: ``_emit`` raises and records nothing."""
+    g = complete_graph(5)
+    paths = {}
+    with pytest.raises(AssertionError, match="leaves the live vertices"):
+        construct._emit(g, 0b01111, paths, [0, 4, 1])
+    assert paths == {}
+    construct._emit(g, 0b01111, paths, [1, 3, 0])
+    assert paths == {(0, 1): (0, 3, 1)}
 
 
 def test_c5_extension_regression_near_miss_apex():
@@ -513,24 +535,31 @@ PEEL_HOSTS = {"house": lambda: p4_free_join(64),
                                          (owh_free_immersion, "owh")])
 def test_recursive_routes_skip_the_extension_checks(monkeypatch, route, name):
     """The peeling loop proves each dominating structure it finds, so it
-    calls the extension builders, not the checking public steps, and it
-    copies the graph at most once, for what is left at the end."""
+    calls the extension builders, not the checking public steps; it copies
+    the graph at most once, for what is left at the end, and never copies or
+    rescans a sub-certificate."""
     g = PEEL_HOSTS[name]()
     counts = count_calls(monkeypatch, construct, "_extend_c4", "_extend_articulated",
-                         "_require_induced_at", "_require_dominating_edges")
+                         "_require_induced_at", "_require_dominating_edges",
+                         "_prepare_subcert")
     copies = count_calls(monkeypatch, Graph, "induced_subgraph")
     checked(g, route(g), half_ceil(g.n))
     assert counts["_extend_c4"] + counts["_extend_articulated"] == 15
     assert counts["_require_induced_at"] == 0
     assert counts["_require_dominating_edges"] == 0
+    assert counts["_prepare_subcert"] == 0
     assert copies["induced_subgraph"] <= 1
 
 
-@pytest.mark.parametrize("host, name", [(lambda: p4_free_join(512), "P4"),
-                                        (lambda: complement_join(cycle_graph(512)), "twoK2")],
-                         ids=["p4-free-join-512", "co-C512"])
-def test_peeling_depth_does_not_grow_the_stack(host, name):
-    """127 steps run in 200 frames above the caller: the peel is a loop."""
+@pytest.mark.parametrize("host, name, digest", [
+    (lambda: p4_free_join(512), "P4",
+     "7019165552f9a5108f1f5baa5fd363206a5b33ffe35906dd4033323132d7e54e"),
+    (lambda: complement_join(cycle_graph(512)), "twoK2",
+     "e88bafabc86b8e9ba36cbbbc19b3886b5b66453c67773a7f99d2d5a1d568b3f0"),
+], ids=["p4-free-join-512", "co-C512"])
+def test_peeling_depth_does_not_grow_the_stack(host, name, digest):
+    """127 steps run in 200 frames above the caller: the peel is a loop.
+    The certificate bytes are pinned, so a deep peel keeps its output."""
     g = host()
     depth, frame = 0, sys._getframe()
     while frame is not None:
@@ -542,6 +571,7 @@ def test_peeling_depth_does_not_grow_the_stack(host, name):
     finally:
         sys.setrecursionlimit(limit)
     checked(g, cert, half_ceil(g.n))
+    assert hashlib.sha256(certificate_to_json(cert).encode()).hexdigest() == digest
 
 
 def test_peeling_violation_names_input_vertices():

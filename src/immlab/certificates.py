@@ -1,4 +1,4 @@
-"""Immersion certificates: data model, canonical JSON, verifier, and algebra.
+"""Immersion certificates: data model, canonical JSON, verifier, and combinators.
 
 A certificate for "K_t immerses in g" names t distinct branch vertices and,
 for every pair of them, a path in g, such that
@@ -6,10 +6,6 @@ for every pair of them, a path in g, such that
   I.   each path joins its pair and really is a path of g (simple, edges exist),
   II.  the paths are pairwise edge-disjoint (sharing interior *vertices* is fine),
   III. no branch vertex lies in the interior of any path.
-
-``PatternImmersion`` is the same notion for an arbitrary pattern graph in
-place of K_t (one path per pattern *edge*); it is the glue that lets a clique
-certificate found inside an abstract quotient be composed down into the host.
 """
 
 from __future__ import annotations
@@ -42,16 +38,6 @@ class ImmersionCertificate:
     @property
     def order(self) -> int:
         return len(self.branch)
-
-
-@dataclass(frozen=True)
-class PatternImmersion:
-    """A claimed immersion of ``pattern``; branch[i] hosts pattern vertex i."""
-
-    host_hash: str
-    pattern: Graph
-    branch: tuple[int, ...]
-    paths: dict[Pair, Walk] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -139,24 +125,7 @@ def verify_certificate(g: Graph, cert: ImmersionCertificate) -> Verdict:
     return _check_paths(g, cert.branch, required, cert.paths)
 
 
-def verify_pattern_immersion(g: Graph, imm: PatternImmersion) -> Verdict:
-    """Audit a pattern immersion (one path per pattern edge)."""
-    if imm.host_hash != g.sha256():
-        return _bad("hash-mismatch",
-                    f"immersion is for {imm.host_hash[:12]}.., host is {g.sha256()[:12]}..")
-    if len(imm.branch) != imm.pattern.n:
-        return _bad("structural",
-                    f"branch tuple has {len(imm.branch)} entries for a "
-                    f"{imm.pattern.n}-vertex pattern")
-    bad = _check_branch(g, imm.branch)
-    if bad is not None:
-        return bad
-    required = [((i, j), (imm.branch[i], imm.branch[j]))
-                for i, j in imm.pattern.edges()]
-    return _check_paths(g, imm.branch, required, imm.paths)
-
-
-# -- constructors and algebra ---------------------------------------------------
+# -- constructors and combinators ------------------------------------------------
 
 
 def direct_clique_certificate(g: Graph, vertices: Iterable[int]) -> ImmersionCertificate:
@@ -234,71 +203,6 @@ def lift_certificate(cert: ImmersionCertificate, embed: Mapping[int, int],
         else:
             paths[(mv, mu)] = mwalk[::-1]
     return ImmersionCertificate(host.sha256(), branch, paths)
-
-
-def _shortcut(walk: list[int]) -> list[int]:
-    """Delete closed subwalks until the walk is simple.
-
-    Each cut removes walk[i+1..j] where walk[i] == walk[j], i.e. a closed
-    subwalk, so the surviving edge multiset is a subset of the original and
-    edge-disjointness with other paths is preserved.
-    """
-    while True:
-        seen: dict[int, int] = {}
-        cut = None
-        for idx, v in enumerate(walk):
-            if v in seen:
-                cut = (seen[v], idx)
-                break
-            seen[v] = idx
-        if cut is None:
-            return walk
-        i, j = cut
-        walk = walk[: i + 1] + walk[j + 1:]
-
-
-def compose_certificates(g: Graph, outer: PatternImmersion,
-                         inner: ImmersionCertificate) -> ImmersionCertificate:
-    """Compose a clique certificate *over the pattern* with a pattern immersion.
-
-    ``inner`` certifies K_t inside ``outer.pattern``; the result certifies K_t
-    inside g.  Each inner walk is translated edge-by-edge into concatenated
-    outer paths, then shortcut to a simple path.  Edge-disjointness survives
-    because inner uses each pattern edge at most once (its condition II) and
-    distinct pattern edges own edge-disjoint outer paths (outer's condition
-    II); condition III survives because interiors of outer paths avoid *all*
-    outer branch vertices.
-    """
-    if inner.host_hash != outer.pattern.sha256():
-        raise ValueError("inner certificate is not over the outer pattern")
-    if outer.host_hash != g.sha256():
-        raise ValueError("outer immersion is not over this host graph")
-
-    def oriented(a: int, b: int) -> Walk:
-        # Outer walk for pattern edge ab, oriented branch[a] -> branch[b].
-        if a < b:
-            walk = outer.paths.get((a, b))
-            if walk is None:
-                raise ValueError(f"outer immersion lacks a path for pattern edge ({a},{b})")
-            return walk
-        walk = outer.paths.get((b, a))
-        if walk is None:
-            raise ValueError(f"outer immersion lacks a path for pattern edge ({b},{a})")
-        return walk[::-1]
-
-    paths: dict[Pair, Walk] = {}
-    for (u, v), walk in inner.paths.items():
-        host_walk = [outer.branch[walk[0]]]
-        for a, b in zip(walk, walk[1:]):
-            host_walk.extend(oriented(a, b)[1:])
-        host_walk = _shortcut(host_walk)
-        hu, hv = outer.branch[u], outer.branch[v]
-        if hu <= hv:
-            paths[(hu, hv)] = tuple(host_walk)
-        else:
-            paths[(hv, hu)] = tuple(host_walk[::-1])
-    branch = tuple(sorted(outer.branch[b] for b in inner.branch))
-    return ImmersionCertificate(g.sha256(), branch, paths)
 
 
 # -- canonical JSON ---------------------------------------------------------------

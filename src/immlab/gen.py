@@ -9,7 +9,7 @@ an instance is returned, and a broken promise raises instead of returning.
 
 from __future__ import annotations
 
-from .analysis import find_induced, independent_triple
+from .analysis import find_hole_in_range, find_induced, independence_number, independent_triple
 from .errors import PreconditionError
 from .graphs import (
     Graph,
@@ -20,7 +20,7 @@ from .graphs import (
     path_graph,
     pattern,
 )
-from .inflation import InflationSpec, inflate
+from .inflation import InflationSpec, cycle_inflation_chromatic, inflate
 
 _MASK64 = (1 << 64) - 1
 
@@ -214,9 +214,6 @@ def forbholes_family(alpha: int, seed: int) -> tuple[Graph, dict]:
     vertices.  The info dict records the construction (ground truth for the
     chromatic number comes from the cycle-inflation DP plus the universals).
     """
-    from .analysis import find_hole_in_range, independence_number
-    from .inflation import cycle_inflation_chromatic
-
     if alpha < 2:
         raise ValueError(f"need alpha >= 2, got {alpha}")
     rng = Rng(seed)

@@ -11,9 +11,11 @@ are adjacent.  Two engines live here:
   *and* a proper colouring with exactly as many colours as the immersion's
   order, certifying immersion-order >= chromatic number in one object.
 
-Each engine checks its preconditions once, then calls a private builder;
-the cycle builder, having proved both builders' preconditions, recurses into
-itself and builds its seam with the path builder.
+Each engine checks its preconditions once, then calls a private builder
+that works on bag ids alone and consults no graph; only the public entry
+points hash the host.  The cycle builder recurses on the (k-2)-cycle
+inflation of the remaining bags, numbered by fresh consecutive ids, builds
+its seam with the path builder, and maps the inner walks back to its own ids.
 
 ``cycle_inflation_chromatic`` computes the exact chromatic number of a cycle
 inflation in polynomial time by a transfer DP; it is independent of the
@@ -26,18 +28,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Iterable
 
-from .certificates import (
-    ImmersionCertificate,
-    Pair,
-    PatternImmersion,
-    Walk,
-    compose_certificates,
-    direct_clique_certificate,
-    ordered_pair,
-)
+from .certificates import ImmersionCertificate, Pair, Walk, ordered_pair
 from .errors import PreconditionError
-from .graphs import MAX_VERTICES, Graph, cycle_graph, graph_from_doc, mask_of
+from .graphs import MAX_VERTICES, Graph, graph_from_doc, mask_of
 
 INFLATION_FORMAT = "immlab-inflation-v1"
 
@@ -153,11 +148,12 @@ def inflate_path(g: Graph, bags: Bags) -> ImmersionCertificate:
         raise PreconditionError("first bag must be no bigger than every bag")
     if any(len(bags[j]) < len(bags[L - 1]) for j in range(1, L, 2)):
         raise PreconditionError("last bag must be no bigger than every even-position bag")
-    return _path_build(g, bags)
+    branch, paths = _path_build(bags)
+    return ImmersionCertificate(g.sha256(), branch, paths)
 
 
-def _path_build(g: Graph, bags: Bags) -> ImmersionCertificate:
-    """``inflate_path``'s construction, for bags that meet its preconditions."""
+def _path_build(bags: Bags) -> tuple[tuple[int, ...], dict[Pair, Walk]]:
+    """``inflate_path``'s branch and paths, for bags that meet its preconditions."""
     L = len(bags)
     p = len(bags[0])
     q = len(bags[L - 1])
@@ -173,7 +169,7 @@ def _path_build(g: Graph, bags: Bags) -> ImmersionCertificate:
             key = ordered_pair(walk[0], walk[-1])
             paths[key] = walk if walk[0] == key[0] else walk[::-1]
     branch = tuple(sorted(set(bags[0]) | set(bags[L - 1])))
-    return ImmersionCertificate(g.sha256(), branch, paths)
+    return branch, paths
 
 
 # -- exact chromatic number of cycle inflations -------------------------------------
@@ -288,38 +284,71 @@ def inflate_cycle(g: Graph, bags: Bags) -> tuple[ImmersionCertificate, tuple[int
     maximum clique and four colour blocks reach the same count.  Longer
     cycles rotate the heaviest adjacent pair to the end, route all paths
     between the end pair's neighbours through it (even-path engine on four
-    bags), shrink to a (k-2)-cycle inflation joined at the seam by those
-    paths, recurse, and compose; the colouring of the deleted two bags reuses
-    the neighbours' colours plus a leftover palette, with fresh colours only
-    when the heavy pair itself forces the count up -- and then the heavy pair
-    is itself a big enough clique to certify directly.
+    bags), and recurse on the (k-2)-cycle inflation of the other bags, over
+    fresh consecutive ids.  Each inner walk comes back to the host step by
+    step, riding a seam path wherever it crosses between the two end bags.
+    The colouring of the deleted two bags reuses the neighbours' colours plus
+    a leftover palette, with fresh colours only when the heavy pair itself
+    forces the count up -- and then the heavy pair is itself a big enough
+    clique to certify directly.
     """
     _validate_cycle_bags(g, bags)
-    return _cycle_build(g, bags)
+    branch, paths, colour = _cycle_build(bags)
+    return ImmersionCertificate(g.sha256(), branch, paths), colour
 
 
-def _cycle_build(g: Graph, bags: Bags) -> tuple[ImmersionCertificate, tuple[int, ...]]:
-    """The construction of ``inflate_cycle``, for bags that tile g as an exact
-    cycle inflation.  The seam bags meet ``inflate_path``'s size conditions by
-    the rotation, and the abstract inflation is exact as ``inflate`` builds it,
-    so neither is checked again."""
+def _clique(vertices: Iterable[int]) -> tuple[tuple[int, ...], dict[Pair, Walk]]:
+    branch = tuple(sorted(vertices))
+    return branch, {(u, v): (u, v) for u, v in combinations(branch, 2)}
+
+
+def _shortcut(walk: list[int]) -> list[int]:
+    """Delete closed subwalks until the walk is simple.
+
+    Each cut removes walk[i+1..j] where walk[i] == walk[j], i.e. a closed
+    subwalk, so the surviving edge multiset is a subset of the original and
+    edge-disjointness with other paths is preserved.
+    """
+    while True:
+        seen: dict[int, int] = {}
+        cut = None
+        for idx, v in enumerate(walk):
+            if v in seen:
+                cut = (seen[v], idx)
+                break
+            seen[v] = idx
+        if cut is None:
+            return walk
+        i, j = cut
+        walk = walk[: i + 1] + walk[j + 1:]
+
+
+def _cycle_build(bags: Bags) -> tuple[tuple[int, ...], dict[Pair, Walk], tuple[int, ...]]:
+    """Branch, paths and colouring of ``inflate_cycle`` over the ids of
+    ``bags``, which tile range(n) as an exact cycle inflation.
+
+    No graph is consulted.  The top-level bags were proved exact by
+    ``_validate_cycle_bags``, so every pair inside a bag or across adjacent
+    bags is an edge, and the inner levels are exact by construction.  The
+    seam bags meet ``inflate_path``'s size conditions by the rotation.
+    """
     k = len(bags)
     sizes = [len(b) for b in bags]
+    n = sum(sizes)
 
     if k == 3:
-        branch = tuple(range(g.n))
-        return direct_clique_certificate(g, branch), tuple(range(g.n))
+        branch, paths = _clique(range(n))
+        return branch, paths, tuple(range(n))
 
     if k == 4:
         heavy = _max_adjacent_rotation(sizes)
-        clique = sorted(set(bags[heavy]) | set(bags[(heavy + 1) % 4]))
-        cert = direct_clique_certificate(g, clique)
+        branch, paths = _clique([*bags[heavy], *bags[(heavy + 1) % 4]])
         x = max(sizes[0], sizes[2])
-        colour = [-1] * g.n
+        colour = [-1] * n
         for bag_index, base in ((0, 0), (2, 0), (1, x), (3, x)):
             for offset, v in enumerate(sorted(bags[bag_index])):
                 colour[v] = base + offset
-        return cert, tuple(colour)
+        return branch, paths, tuple(colour)
 
     # k >= 5: rotate the heaviest adjacent pair to positions (k-2, k-1).
     shift = (_max_adjacent_rotation(sizes) + 2) % k
@@ -329,42 +358,20 @@ def _cycle_build(g: Graph, bags: Bags) -> tuple[ImmersionCertificate, tuple[int,
     if rs[0] > rs[k - 2] or rs[k - 3] > rs[k - 1]:
         raise AssertionError("rotation failed to dominate its neighbours")
 
-    # All |B_{k-3}| x |B_0| seam paths through the two heavy bags.
-    if rs[k - 3] <= rs[0]:
-        path_bags = (rb[k - 3], rb[k - 2], rb[k - 1], rb[0])
-    else:
-        path_bags = (rb[0], rb[k - 1], rb[k - 2], rb[k - 3])
-    seam = _path_build(g, path_bags)
-
-    # Abstract (k-2)-cycle inflation; abstract vertex <-> host vertex by rank.
-    inner_sizes = tuple(rs[: k - 2])
-    abstract, abags = inflate(cycle_graph(k - 2), inner_sizes)
+    # Inner (k-2)-cycle inflation: bag j gets the next rs[j] consecutive ids,
+    # as ``inflate`` numbers them; inner id <-> host id by rank within a bag.
     to_host: list[int] = []
+    bag_of: list[int] = []
+    inner_bags: list[tuple[int, ...]] = []
     for j in range(k - 2):
+        inner_bags.append(tuple(range(len(to_host), len(to_host) + rs[j])))
         to_host.extend(sorted(rb[j]))
-
-    # Outer paths: every abstract edge is a direct host edge, except the seam
-    # pairs (one endpoint in each end bag), which ride the even-path paths.
-    paths: dict[Pair, Walk] = {}
-    first_mask = mask_of(rb[0])
-    last_mask = mask_of(rb[k - 3])
-    for a, b in abstract.edges():
-        ha, hb = to_host[a], to_host[b]
-        cross = ((first_mask >> ha & 1) and (last_mask >> hb & 1)) or \
-                ((last_mask >> ha & 1) and (first_mask >> hb & 1))
-        if cross:
-            walk = seam.paths[ordered_pair(ha, hb)]
-            paths[(a, b)] = walk if walk[0] == ha else walk[::-1]
-        else:
-            paths[(a, b)] = (ha, hb)
-    outer = PatternImmersion(g.sha256(), abstract, tuple(to_host), paths)
-
-    inner_cert, inner_colour = _cycle_build(abstract, abags)
-    cert = compose_certificates(g, outer, inner_cert)
+        bag_of.extend([j] * rs[j])
+    inner_branch, inner_paths, inner_colour = _cycle_build(tuple(inner_bags))
 
     # Extend the colouring to the two heavy bags.
     t_inner = max(inner_colour) + 1
-    colour = [-1] * g.n
+    colour = [-1] * n
     for a, c in enumerate(inner_colour):
         colour[to_host[a]] = c
     first_colours = sorted(colour[v] for v in rb[0])
@@ -384,12 +391,41 @@ def _cycle_build(g: Graph, bags: Bags) -> tuple[ImmersionCertificate, tuple[int,
         else:
             colour[v] = fresh
             fresh += 1
-    total = fresh if fresh > t_inner else t_inner
 
-    if total > t_inner:
-        # The heavy adjacent pair is a clique of exactly `total` vertices.
-        heavy_clique = sorted(set(rb[k - 2]) | set(rb[k - 1]))
-        if len(heavy_clique) != total:
+    if fresh > t_inner:
+        # The heavy adjacent pair is a clique of exactly `fresh` vertices.
+        if rs[k - 2] + rs[k - 1] != fresh:
             raise AssertionError("fresh-colour count disagrees with the heavy pair")
-        cert = direct_clique_certificate(g, heavy_clique)
-    return cert, tuple(colour)
+        branch, paths = _clique([*rb[k - 2], *rb[k - 1]])
+        return branch, paths, tuple(colour)
+
+    # All |B_{k-3}| x |B_0| seam paths through the two heavy bags.
+    if rs[k - 3] <= rs[0]:
+        _, seam = _path_build((rb[k - 3], rb[k - 2], rb[k - 1], rb[0]))
+    else:
+        _, seam = _path_build((rb[0], rb[k - 1], rb[k - 2], rb[k - 3]))
+
+    # Each inner step within a bag or between adjacent inner bags is a host
+    # edge, except a step between the two end bags, which rides its seam path.
+    last = k - 3
+    paths: dict[Pair, Walk] = {}
+    for (u, v), walk in inner_paths.items():
+        host_walk = [to_host[walk[0]]]
+        for a, b in zip(walk, walk[1:]):
+            ha, hb = to_host[a], to_host[b]
+            ia, ib = bag_of[a], bag_of[b]
+            if {ia, ib} == {0, last}:
+                seam_walk = seam[ordered_pair(ha, hb)]
+                host_walk.extend(seam_walk[1:] if seam_walk[0] == ha else seam_walk[-2::-1])
+            elif abs(ia - ib) <= 1:
+                host_walk.append(hb)
+            else:
+                raise AssertionError(f"inner step ({a},{b}) joins non-adjacent bags {ia}, {ib}")
+        host_walk = _shortcut(host_walk)
+        hu, hv = to_host[u], to_host[v]
+        if hu <= hv:
+            paths[(hu, hv)] = tuple(host_walk)
+        else:
+            paths[(hv, hu)] = tuple(host_walk[::-1])
+    branch = tuple(sorted(to_host[b] for b in inner_branch))
+    return branch, paths, tuple(colour)

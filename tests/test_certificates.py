@@ -10,17 +10,14 @@ from hypothesis import given, settings, strategies as st
 from immlab.analysis import max_clique
 from immlab.certificates import (
     ImmersionCertificate,
-    PatternImmersion,
     certificate_from_json,
     certificate_to_json,
-    compose_certificates,
     direct_clique_certificate,
     extend_with_universal,
     lift_certificate,
     ordered_pair,
     trim_certificate,
     verify_certificate,
-    verify_pattern_immersion,
 )
 from immlab.gen import random_alpha2
 from immlab.graphs import (
@@ -208,36 +205,6 @@ def test_lift_certificate_relabels():
     lifted = lift_certificate(cert, perm, h)
     assert verify_certificate(h, lifted).ok
     assert lifted.branch == tuple(sorted(perm[v] for v in cert.branch))
-
-
-def test_compose_concatenates_and_shortcuts():
-    tri = complete_graph(3)
-    p3 = path_graph(3)
-    inner = ImmersionCertificate(p3.sha256(), (0, 2), {(0, 2): (0, 1, 2)})
-    assert verify_certificate(p3, inner).ok
-    # Straight outer walks: composition stitches [0,1]+[1,2].
-    outer = PatternImmersion(tri.sha256(), p3, (0, 1, 2),
-                             {(0, 1): (0, 1), (1, 2): (1, 2)})
-    assert verify_pattern_immersion(tri, outer).ok
-    cert = compose_certificates(tri, outer, inner)
-    assert cert.branch == (0, 2) and cert.paths == {(0, 2): (0, 1, 2)}
-    assert verify_certificate(tri, cert).ok
-    # A detour that revisits a vertex gets shortcut away.
-    outer2 = PatternImmersion(tri.sha256(), p3, (0, 1, 2),
-                              {(0, 1): (0, 2, 1), (1, 2): (1, 2)})
-    cert2 = compose_certificates(tri, outer2, inner)
-    assert cert2.paths == {(0, 2): (0, 2)}
-    assert verify_certificate(tri, cert2).ok
-
-
-def test_compose_rejects_mismatched_layers():
-    tri = complete_graph(3)
-    p3 = path_graph(3)
-    inner = ImmersionCertificate(tri.sha256(), (0, 2), {(0, 2): (0, 2)})
-    outer = PatternImmersion(tri.sha256(), p3, (0, 1, 2),
-                             {(0, 1): (0, 1), (1, 2): (1, 2)})
-    with pytest.raises(ValueError):
-        compose_certificates(tri, outer, inner)  # inner not over the pattern
 
 
 def test_ordered_pair():

@@ -18,8 +18,15 @@ import pytest
 
 from immlab.certificates import certificate_to_json, verify_certificate
 from immlab.cli import _solve_with_method
-from immlab.gen import forbholes_family, random_alpha2, random_hfree_alpha2, random_inflation
-from immlab.graphs import FOUR_VERTEX_PATTERNS, complete_graph, cycle_graph, join, path_graph
+from immlab.gen import Rng, forbholes_family, random_alpha2, random_hfree_alpha2, random_inflation
+from immlab.graphs import (
+    FOUR_VERTEX_PATTERNS,
+    Graph,
+    complete_graph,
+    cycle_graph,
+    join,
+    path_graph,
+)
 from immlab.inflation import inflate, inflate_cycle, inflate_path
 from immlab.oracle import OracleBudget, brute_force_immersion, max_immersion_order
 
@@ -136,28 +143,54 @@ def test_k4minus_partitions_are_pinned():
     assert parts == K4MINUS_PARTS
 
 
-def random_specs(kind, ks):
-    return [(spec.base, spec.sizes) for k in ks
-            for spec in (random_inflation(kind, k, 3, seed) for seed in (1, 2))]
+def random_hosts(kind, ks, max_bag=3):
+    return [inflate(spec.base, spec.sizes) for k in ks
+            for spec in (random_inflation(kind, k, max_bag, seed) for seed in (1, 2))]
 
 
-#: (engine, fixtures as (base, bag sizes), pinned digest).  The last entry is
-#: the k = 9 cycle inflation with the fixed bags the inflation-large
-#: benchmark workload analyses.
+def is_run(ids):
+    return len(ids) > 1 and max(ids) - min(ids) == len(ids) - 1
+
+
+def relabelled(hosts, seed):
+    """Each host and its bags under a seeded permutation of the vertex ids,
+    redrawn until no bag of two or more vertices is a run of consecutive ids."""
+    rng = Rng(seed)
+    out = []
+    for g, bags in hosts:
+        perm = list(range(g.n))
+        while any(is_run([perm[v] for v in bag]) for bag in bags):
+            for i in range(g.n - 1, 0, -1):
+                j = rng.below(i + 1)
+                perm[i], perm[j] = perm[j], perm[i]
+        h = Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+        out.append((h, tuple(tuple(perm[v] for v in bag) for bag in bags)))
+    return out
+
+
+#: (engine, fixtures as (host, bags), pinned digest).  "cycle-k9-n256" is the
+#: k = 9 cycle inflation with the fixed bags the inflation-large benchmark
+#: workload analyses; "cycle-k10-13" recurses four or more levels deep and
+#: reaches the fresh-colour branch; "cycle-relabelled" gives the engine bags
+#: that are not runs of consecutive ids.
 ENGINE_GOLDEN = {
-    "path": ("path", lambda: random_specs("path", (2, 4, 6, 8, 10)),
+    "path": ("path", lambda: random_hosts("path", (2, 4, 6, 8, 10)),
              "100fb2c63d49f69d1995ffe02c9cd68169879393a0e66ea85b0563222924138a"),
-    "cycle": ("cycle", lambda: random_specs("cycle", range(3, 10)),
+    "cycle": ("cycle", lambda: random_hosts("cycle", range(3, 10)),
               "05ba4a8f79b517d4fb968529d57ffef4ae299479f6e4613273aa4adc66822f5f"),
-    "cycle-k9-n256": ("cycle", lambda: [(cycle_graph(9), (29, 29, 29, 29, 28, 28, 28, 28, 28))],
+    "cycle-k9-n256": ("cycle",
+                      lambda: [inflate(cycle_graph(9), (29, 29, 29, 29, 28, 28, 28, 28, 28))],
                       "1d292497c55be02727e2a8abbba3a9920682db4deda5a7b3404184c9d2506517"),
+    "cycle-k10-13": ("cycle", lambda: random_hosts("cycle", range(10, 14), max_bag=5),
+                     "fd43653683ad6996d2c662992cc69fc8fe3be2591df1d793cbf45929794a129a"),
+    "cycle-relabelled": ("cycle", lambda: relabelled(random_hosts("cycle", range(3, 10)), 19),
+                         "94f3848451006ccea8940462228fe970b7c73739d9b5af6429f81737c3a63a8f"),
 }
 
 
-def engine_digest(kind, specs):
+def engine_digest(kind, hosts):
     lines = []
-    for base, sizes in specs:
-        g, bags = inflate(base, sizes)
+    for g, bags in hosts:
         if kind == "path":
             cert = inflate_path(g, bags)
         else:
@@ -171,8 +204,8 @@ def engine_digest(kind, specs):
 
 @pytest.mark.parametrize("name", sorted(ENGINE_GOLDEN))
 def test_engine_bytes_are_pinned(name):
-    kind, specs, golden = ENGINE_GOLDEN[name]
-    assert engine_digest(kind, specs()) == golden
+    kind, hosts, golden = ENGINE_GOLDEN[name]
+    assert engine_digest(kind, hosts()) == golden
 
 
 #: The two n = 10 graphs on which the small-mix benchmark workload's ``auto``

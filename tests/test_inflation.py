@@ -11,7 +11,7 @@ from immlab.certificates import verify_certificate
 from immlab.errors import PreconditionError
 from immlab.construct import hole_free_immersion
 from immlab.gen import forbholes_family, random_inflation
-from immlab.graphs import cycle_graph, path_graph
+from immlab.graphs import Graph, cycle_graph, path_graph
 from immlab.inflation import (
     InflationSpec,
     cycle_inflation_chromatic,
@@ -208,6 +208,25 @@ def test_inflate_cycle_checks_the_bags_once(monkeypatch):
     assert verify_certificate(g, cert).ok and proper(g, colouring)
     assert counts["_validate_cycle_bags"] == 1
     assert counts["_check_bags"] == 1
+
+
+@pytest.mark.parametrize("k", [9, 13])
+def test_inflate_cycle_builds_no_graph_and_hashes_only_the_host(monkeypatch, k):
+    """The recursion runs over bag ids: no graph is built below the entry
+    point, and the one serialisation is the host's, for its hash."""
+    g, bags = inflate(cycle_graph(k), (2,) * k)
+    counts = count_calls(monkeypatch, Graph, "__post_init__", "to_json")
+    cert, colouring = inflate_cycle(g, bags)
+    assert (counts["__post_init__"], counts["to_json"]) == (0, 1)
+    assert verify_certificate(g, cert).ok and proper(g, colouring)
+
+
+def test_shortcut_cuts_closed_subwalks_in_walk_order():
+    # A detour that comes back to a vertex is cut away.
+    assert inflation._shortcut([0, 2, 1, 2]) == [0, 2]
+    # The first repeat found is cut first: cutting at the 2s first would
+    # leave (0, 1, 2, 5) instead.
+    assert inflation._shortcut([0, 1, 2, 3, 1, 4, 2, 5]) == [0, 1, 4, 2, 5]
 
 
 def test_hole_free_route_checks_the_inflation_shape_once(monkeypatch):

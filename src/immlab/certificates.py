@@ -6,16 +6,20 @@ for every pair of them, a path in g, such that
   I.   each path joins its pair and really is a path of g (simple, edges exist),
   II.  the paths are pairwise edge-disjoint (sharing interior *vertices* is fine),
   III. no branch vertex lies in the interior of any path.
+
+``verify_certificate`` checks branch, keys and vertices, then I (each step
+x -> y against the bitset row ``adj[x]``), II (the steps' edges, one int each,
+all distinct) and III (walk interiors against the branch set), in that order.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations, islice
 from typing import Iterable, Mapping
 
-from .graphs import Graph
+from .graphs import Graph, collector_paused
 
 CERT_FORMAT = "immlab-cert-v1"
 
@@ -57,72 +61,65 @@ def _bad(reason: str, detail: str) -> Verdict:
 # -- verification -------------------------------------------------------------
 
 
-def _check_paths(g: Graph, branch: tuple[int, ...],
-                 required: list[tuple[Pair, Pair]],
-                 paths: Mapping[Pair, Walk]) -> Verdict:
-    """Shared path checks.  ``required`` lists (key, (from, to)) pairs."""
-    bset = set(branch)
-    legal_keys = {key for key, _ in required}
-    for key, walk in paths.items():
-        if key not in legal_keys:
-            return _bad("structural", f"unexpected path key {key}")
-        for x in walk:
-            if not (type(x) is int and 0 <= x < g.n):
-                return _bad("structural", f"walk vertex {x!r} out of range in path {key}")
-
-    # Condition I: every required pair is joined by a genuine path.
-    for key, (a, b) in required:
-        walk = paths.get(key)
-        if walk is None:
-            return _bad("condition-I", f"no path for pair {key}")
-        if len(walk) < 2 or walk[0] != a or walk[-1] != b:
-            return _bad("condition-I", f"path {key} does not run {a} -> {b}: {walk}")
-        if len(set(walk)) != len(walk):
-            return _bad("condition-I", f"path {key} repeats a vertex: {walk}")
-        for x, y in zip(walk, walk[1:]):
-            if not g.has_edge(x, y):
-                return _bad("condition-I", f"path {key} uses non-edge ({x},{y})")
-
-    # Condition II: pairwise edge-disjoint.
-    used: dict[Pair, Pair] = {}
-    for key, _ in required:
-        walk = paths[key]
-        for x, y in zip(walk, walk[1:]):
-            e = ordered_pair(x, y)
-            if e in used:
-                return _bad("condition-II",
-                            f"edge {e} used by paths {used[e]} and {key}")
-            used[e] = key
-
-    # Condition III: branch vertices never sit inside a path.
-    for key, _ in required:
-        for x in paths[key][1:-1]:
-            if x in bset:
-                return _bad("condition-III",
-                            f"branch vertex {x} interior to path {key}")
-    return Verdict(True)
-
-
-def _check_branch(g: Graph, branch: tuple[int, ...]) -> Verdict | None:
-    for v in branch:
-        if not (type(v) is int and 0 <= v < g.n):
-            return _bad("structural", f"branch vertex {v!r} out of range")
-    if len(set(branch)) != len(branch):
-        return _bad("structural", f"branch vertices not distinct: {branch}")
-    return None
-
-
 def verify_certificate(g: Graph, cert: ImmersionCertificate) -> Verdict:
     """Full audit of a clique-immersion certificate against its host graph."""
     if cert.host_hash != g.sha256():
         return _bad("hash-mismatch",
                     f"certificate is for {cert.host_hash[:12]}.., host is {g.sha256()[:12]}..")
-    bad = _check_branch(g, cert.branch)
-    if bad is not None:
-        return bad
-    required = [(ordered_pair(u, v), ordered_pair(u, v))
-                for u, v in combinations(sorted(cert.branch), 2)]
-    return _check_paths(g, cert.branch, required, cert.paths)
+    n, adj, branch, paths = g.n, g.adj, cert.branch, cert.paths
+    for v in branch:
+        if not (type(v) is int and 0 <= v < n):
+            return _bad("structural", f"branch vertex {v!r} out of range")
+    if len(set(branch)) != len(branch):
+        return _bad("structural", f"branch vertices not distinct: {branch}")
+    required = list(combinations(sorted(branch), 2))
+    legal_keys = set(required)
+    vertices = [*chain.from_iterable(paths.values())]
+    if not (paths.keys() <= legal_keys and set(map(type, vertices)) <= {int}
+            and (not vertices or 0 <= min(vertices) and max(vertices) < n)):
+        for key, walk in paths.items():   # name the first fault, in path order
+            if key not in legal_keys:
+                return _bad("structural", f"unexpected path key {key}")
+            for x in walk:
+                if not (type(x) is int and 0 <= x < n):
+                    return _bad("structural", f"walk vertex {x!r} out of range in path {key}")
+
+    # Condition I, pair by pair in increasing order; each step's edge is
+    # noted as the int min * n + max for condition II.
+    steps: list[int] = []
+    for key in required:
+        walk = paths.get(key)
+        if walk is None:
+            return _bad("condition-I", f"no path for pair {key}")
+        a, b = key
+        if len(walk) < 2 or walk[0] != a or walk[-1] != b:
+            return _bad("condition-I", f"path {key} does not run {a} -> {b}: {walk}")
+        if len(walk) > 2 and len(set(walk)) != len(walk):
+            return _bad("condition-I", f"path {key} repeats a vertex: {walk}")
+        x = a
+        for y in islice(walk, 1, None):
+            if not adj[x] >> y & 1:
+                return _bad("condition-I", f"path {key} uses non-edge ({x},{y})")
+            steps.append(x * n + y if x < y else y * n + x)
+            x = y
+
+    # Condition II: no edge noted twice.  Only on a repeat are the walks
+    # scanned again, in order, to name the two paths.
+    if len(set(steps)) != len(steps):
+        owner: dict[Pair, Pair] = {}
+        for key in required:
+            for e in map(ordered_pair, paths[key], paths[key][1:]):
+                if e in owner:
+                    return _bad("condition-II", f"edge {e} used by paths {owner[e]} and {key}")
+                owner[e] = key
+
+    # Condition III: branch vertices never sit inside a path.
+    bset = set(branch)
+    for key in required:
+        for x in paths[key][1:-1]:
+            if x in bset:
+                return _bad("condition-III", f"branch vertex {x} interior to path {key}")
+    return Verdict(True)
 
 
 # -- constructors and combinators ------------------------------------------------
@@ -220,6 +217,7 @@ def certificate_to_json(cert: ImmersionCertificate) -> str:
     return json.dumps(doc, separators=(",", ":"))
 
 
+@collector_paused
 def certificate_from_json(text: str) -> ImmersionCertificate:
     try:
         doc = json.loads(text)
@@ -233,7 +231,7 @@ def certificate_from_json(text: str) -> ImmersionCertificate:
     raw_paths = doc.get("paths")
     if not isinstance(host_hash, str):
         raise ValueError("'graph_sha256' must be a string")
-    if not (isinstance(branch, list) and all(type(v) is int for v in branch)):
+    if not (isinstance(branch, list) and set(map(type, branch)) <= {int}):
         raise ValueError("'branch' must be a list of ints")
     if type(order) is not int or order != len(branch):
         raise ValueError(f"'order' is {order} but branch lists {len(branch)} vertices")
@@ -241,15 +239,17 @@ def certificate_from_json(text: str) -> ImmersionCertificate:
         raise ValueError("'paths' must be a list")
     paths: dict[Pair, Walk] = {}
     for entry in raw_paths:
-        if not (isinstance(entry, dict) and type(entry.get("u")) is int
-                and type(entry.get("v")) is int
-                and isinstance(entry.get("walk"), list)
-                and all(type(x) is int for x in entry["walk"])):
+        if not isinstance(entry, dict):
             raise ValueError(f"malformed path entry {entry!r}")
-        u, v = entry["u"], entry["v"]
+        u, v, walk = entry.get("u"), entry.get("v"), entry.get("walk")
+        if not (type(u) is int and type(v) is int and isinstance(walk, list)):
+            raise ValueError(f"malformed path entry {entry!r}")
         if u >= v:
             raise ValueError(f"path key ({u},{v}) must have u < v")
         if (u, v) in paths:
             raise ValueError(f"duplicate path entry for pair ({u},{v})")
-        paths[(u, v)] = tuple(entry["walk"])
+        paths[(u, v)] = tuple(walk)
+    if not set(map(type, chain.from_iterable(paths.values()))) <= {int}:
+        entry = next(e for e in raw_paths if not set(map(type, e["walk"])) <= {int})
+        raise ValueError(f"malformed path entry {entry!r}")
     return ImmersionCertificate(host_hash, tuple(branch), paths)

@@ -7,14 +7,19 @@ intersections and complements are single integer operations regardless of n.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from functools import wraps
+from itertools import combinations, compress
+from typing import Callable, Iterable, Iterator, Sequence
 
 MAX_VERTICES = 4096
 
 GRAPH_FORMAT = "immlab-graph-v1"
+
+_BITS = bytes.maketrans(b"01", b"\0\1")   # binary digits -> compress selectors
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -64,28 +69,27 @@ class Graph:
     # -- construction -----------------------------------------------------
 
     @staticmethod
-    def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        """Each unordered pair may appear once: a repeat, in either
-        orientation, is a ValueError naming the first repeated pair.  The
-        vertex count is gated before any row is allocated."""
+    def from_edges(n: int, edges: Iterable[Sequence[int]]) -> "Graph":
+        """Entries are pairs of ints (not bools); a repeated pair, in either orientation,
+        is a ValueError naming it.  n is gated before any row is allocated."""
         if not 0 <= n <= MAX_VERTICES:
             raise ValueError(f"vertex count {n} outside [0, {MAX_VERTICES}]")
-        edges = list(edges)
-        adj = [0] * n
-        for u, v in edges:
+        rows = [bytearray(b"0") * n for _ in range(n)]   # char v of rows[u]: is uv an edge
+        for e in edges:
+            try:
+                u, v = e
+            except (TypeError, ValueError):
+                raise ValueError(f"malformed edge entry {e!r}") from None
+            if type(u) is not int or type(v) is not int:
+                raise ValueError(f"malformed edge entry {e!r}")
             if u == v:
                 raise ValueError(f"self-loop at {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-        if 2 * len(edges) != sum(row.bit_count() for row in adj):
-            seen = set()
-            for u, v in edges:
-                if (pair := (min(u, v), max(u, v))) in seen:
-                    raise ValueError(f"edge ({u},{v}) repeats the pair {pair}")
-                seen.add(pair)
-        return Graph(n, tuple(adj))
+            if rows[u][v] == 49:   # b"1"
+                raise ValueError(f"edge ({u},{v}) repeats the pair {(min(u, v), max(u, v))}")
+            rows[u][v] = rows[v][u] = 49
+        return Graph(n, tuple([int(row[::-1], 2) for row in rows]))
 
     # -- queries -----------------------------------------------------------
 
@@ -102,14 +106,16 @@ class Graph:
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self.adj) // 2
 
+    def _above(self) -> list[str]:
+        """Row u above u as n - u - 1 binary digits, digit i set iff u+1+i is a neighbour
+        (the last row, which has none, is "0")."""
+        return [bin(row >> (u + 1))[:1:-1].ljust(self.n - u - 1, "0")
+                for u, row in enumerate(self.adj)]
+
     def edges(self) -> list[tuple[int, int]]:
         """Edges as (u, v) with u < v, in lexicographic order."""
-        out = []
-        for u in range(self.n):
-            above = self.adj[u] >> (u + 1) << (u + 1)
-            for v in bits(above):
-                out.append((u, v))
-        return out
+        above = "".join(self._above()).encode().translate(_BITS)
+        return list(compress(combinations(range(self.n), 2), above))
 
     def non_neighbors(self, v: int) -> int:
         """Closed non-neighbourhood: everything except v and its neighbours."""
@@ -158,10 +164,13 @@ class Graph:
     # -- canonical serialization --------------------------------------------
 
     def to_json(self) -> str:
-        """Canonical one-line JSON; byte-identical for equal graphs."""
-        doc = {"format": GRAPH_FORMAT, "n": self.n,
-               "edges": [[u, v] for u, v in self.edges()]}
-        return json.dumps(doc, separators=(",", ":"))
+        """Canonical one-line JSON as ``json.dumps`` writes it with separators (",", ":")."""
+        ids = list(map(str, range(self.n)))
+        rows = []
+        for u, above in enumerate(self._above()):
+            if vs := f"],[{u},".join(compress(ids[u + 1:], above.encode().translate(_BITS))):
+                rows.append(f"[{u},{vs}]")
+        return f'{{"format":"{GRAPH_FORMAT}","n":{self.n},"edges":[{",".join(rows)}]}}'
 
     def sha256(self) -> str:
         """Digest of ``to_json()``, kept after the first call (no field: ``==`` ignores it)."""
@@ -174,11 +183,25 @@ class Graph:
     def to_text(self) -> str:
         """Whitespace edge-list format: ``n m`` header, then one edge per line."""
         es = self.edges()
-        lines = [f"{self.n} {len(es)}"]
-        lines.extend(f"{u} {v}" for u, v in es)
-        return "\n".join(lines) + "\n"
+        return "".join([f"{self.n} {len(es)}\n", *(f"{u} {v}\n" for u, v in es)])
 
 
+def collector_paused(parse: Callable) -> Callable:
+    """Run ``parse(text)`` with the cyclic garbage collector paused: parsed JSON has no
+    cycles, and collecting over a large document's millions of lists outcosts the parse."""
+    @wraps(parse)
+    def paused(text: str):
+        if not gc.isenabled():
+            return parse(text)
+        gc.disable()
+        try:
+            return parse(text)
+        finally:
+            gc.enable()
+    return paused
+
+
+@collector_paused
 def graph_from_json(text: str) -> Graph:
     try:
         doc = json.loads(text)
@@ -195,13 +218,7 @@ def graph_from_doc(doc: object) -> Graph:
     edges = doc.get("edges")
     if type(n) is not int or not isinstance(edges, list):
         raise ValueError("graph document needs integer 'n' and list 'edges'")
-    pairs = []
-    for e in edges:
-        if not (isinstance(e, list) and len(e) == 2
-                and all(type(x) is int for x in e)):
-            raise ValueError(f"malformed edge entry {e!r}")
-        pairs.append((e[0], e[1]))
-    return Graph.from_edges(n, pairs)
+    return Graph.from_edges(n, edges)
 
 
 def graph_from_text(text: str) -> Graph:
@@ -216,8 +233,7 @@ def graph_from_text(text: str) -> Graph:
     n, m = numbers[0], numbers[1]
     if len(numbers) != 2 + 2 * m:
         raise ValueError(f"header promises {m} edges but {(len(numbers) - 2) / 2} given")
-    pairs = [(numbers[2 + 2 * i], numbers[3 + 2 * i]) for i in range(m)]
-    return Graph.from_edges(n, pairs)
+    return Graph.from_edges(n, zip(numbers[2::2], numbers[3::2]))
 
 
 # -- standard graphs --------------------------------------------------------

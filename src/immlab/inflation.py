@@ -407,21 +407,25 @@ def _cycle_build(bags: Bags) -> tuple[tuple[int, ...], dict[Pair, Walk], tuple[i
 
     # Each inner step within a bag or between adjacent inner bags is a host
     # edge, except a step between the two end bags, which rides its seam path.
+    # As ``to_host`` is a bijection, only a walk that rode a seam can repeat a vertex.
     last = k - 3
     paths: dict[Pair, Walk] = {}
     for (u, v), walk in inner_paths.items():
         host_walk = [to_host[walk[0]]]
+        rode_seam = False
         for a, b in zip(walk, walk[1:]):
             ha, hb = to_host[a], to_host[b]
             ia, ib = bag_of[a], bag_of[b]
             if {ia, ib} == {0, last}:
                 seam_walk = seam[ordered_pair(ha, hb)]
                 host_walk.extend(seam_walk[1:] if seam_walk[0] == ha else seam_walk[-2::-1])
+                rode_seam = True
             elif abs(ia - ib) <= 1:
                 host_walk.append(hb)
             else:
                 raise AssertionError(f"inner step ({a},{b}) joins non-adjacent bags {ia}, {ib}")
-        host_walk = _shortcut(host_walk)
+        if rode_seam:
+            host_walk = _shortcut(host_walk)
         hu, hv = to_host[u], to_host[v]
         if hu <= hv:
             paths[(hu, hv)] = tuple(host_walk)

@@ -8,18 +8,23 @@ often a structural check runs, and ``ref_max_immersion_order`` is the plain
 ascending search over the package oracle's levels, kept to check the budget
 rule of its downward search.  ``p4_free_join`` and ``complement_join`` build
 the large fixtures on which the peeling routes take many steps.
+``ref_verify_certificate`` is a plain verifier over dicts of ordered pairs
+and sets of vertices, the referee for every verdict, reason and detail of
+``verify_certificate``; ``ref_edges`` / ``ref_to_json`` / ``ref_to_text``
+walk the adjacency one bit at a time, the referees for the canonical bytes.
 """
 
 from __future__ import annotations
 
+import json
 from collections import Counter
 from functools import reduce
 from itertools import combinations, permutations
 
 import hypothesis.strategies as st
 
-from immlab.certificates import ImmersionCertificate
-from immlab.graphs import Graph, join
+from immlab.certificates import ImmersionCertificate, Verdict
+from immlab.graphs import GRAPH_FORMAT, Graph, bits, join
 from immlab.oracle import brute_force_immersion
 
 
@@ -46,6 +51,88 @@ def p4_free_join(n: int) -> Graph:
 def complement_join(*parts: Graph) -> Graph:
     """The complement of the disjoint union of ``parts``."""
     return reduce(join, [part.complement() for part in parts])
+
+
+def ref_edges(g: Graph) -> list[tuple[int, int]]:
+    """Edges as (u, v) with u < v, in lexicographic order, one bit at a time."""
+    out = []
+    for u in range(g.n):
+        above = g.adj[u] >> (u + 1) << (u + 1)
+        for v in bits(above):
+            out.append((u, v))
+    return out
+
+
+def ref_to_json(g: Graph) -> str:
+    doc = {"format": GRAPH_FORMAT, "n": g.n,
+           "edges": [[u, v] for u, v in ref_edges(g)]}
+    return json.dumps(doc, separators=(",", ":"))
+
+
+def ref_to_text(g: Graph) -> str:
+    es = ref_edges(g)
+    lines = [f"{g.n} {len(es)}"]
+    lines.extend(f"{u} {v}" for u, v in es)
+    return "\n".join(lines) + "\n"
+
+
+def _ref_bad(reason: str, detail: str) -> Verdict:
+    return Verdict(False, reason, detail)
+
+
+def _ref_check_paths(g: Graph, branch, required, paths) -> Verdict:
+    bset = set(branch)
+    legal_keys = {key for key, _ in required}
+    for key, walk in paths.items():
+        if key not in legal_keys:
+            return _ref_bad("structural", f"unexpected path key {key}")
+        for x in walk:
+            if not (type(x) is int and 0 <= x < g.n):
+                return _ref_bad("structural", f"walk vertex {x!r} out of range in path {key}")
+
+    for key, (a, b) in required:
+        walk = paths.get(key)
+        if walk is None:
+            return _ref_bad("condition-I", f"no path for pair {key}")
+        if len(walk) < 2 or walk[0] != a or walk[-1] != b:
+            return _ref_bad("condition-I", f"path {key} does not run {a} -> {b}: {walk}")
+        if len(set(walk)) != len(walk):
+            return _ref_bad("condition-I", f"path {key} repeats a vertex: {walk}")
+        for x, y in zip(walk, walk[1:]):
+            if not g.has_edge(x, y):
+                return _ref_bad("condition-I", f"path {key} uses non-edge ({x},{y})")
+
+    used: dict = {}
+    for key, _ in required:
+        walk = paths[key]
+        for x, y in zip(walk, walk[1:]):
+            e = edge_key(x, y)
+            if e in used:
+                return _ref_bad("condition-II",
+                                f"edge {e} used by paths {used[e]} and {key}")
+            used[e] = key
+
+    for key, _ in required:
+        for x in paths[key][1:-1]:
+            if x in bset:
+                return _ref_bad("condition-III",
+                                f"branch vertex {x} interior to path {key}")
+    return Verdict(True)
+
+
+def ref_verify_certificate(g: Graph, cert: ImmersionCertificate) -> Verdict:
+    """The dict-and-set verifier: hash, branch, then conditions I, II, III."""
+    if cert.host_hash != g.sha256():
+        return _ref_bad("hash-mismatch",
+                        f"certificate is for {cert.host_hash[:12]}.., host is {g.sha256()[:12]}..")
+    for v in cert.branch:
+        if not (type(v) is int and 0 <= v < g.n):
+            return _ref_bad("structural", f"branch vertex {v!r} out of range")
+    if len(set(cert.branch)) != len(cert.branch):
+        return _ref_bad("structural", f"branch vertices not distinct: {cert.branch}")
+    required = [(edge_key(u, v), edge_key(u, v))
+                for u, v in combinations(sorted(cert.branch), 2)]
+    return _ref_check_paths(g, cert.branch, required, cert.paths)
 
 
 def edge_key(a: int, b: int) -> tuple[int, int]:

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from immlab.analysis import max_clique
 from immlab.certificates import (
     ImmersionCertificate,
+    Verdict,
     certificate_from_json,
     certificate_to_json,
     direct_clique_certificate,
@@ -19,7 +20,7 @@ from immlab.certificates import (
     trim_certificate,
     verify_certificate,
 )
-from immlab.gen import random_alpha2
+from immlab.gen import random_alpha2, random_inflation
 from immlab.graphs import (
     Graph,
     complete_graph,
@@ -31,7 +32,7 @@ from immlab.graphs import (
 from immlab.inflation import inflate, inflate_cycle, inflate_path
 from immlab.oracle import brute_force_immersion
 
-from conftest import graphs
+from conftest import graphs, ref_verify_certificate
 
 
 def k4_star():
@@ -255,3 +256,115 @@ def test_verifier_fuzz_500_constructed_certificates():
         assert verify_certificate(pinfl, pcert).ok
         checked += 1
     assert checked == 500
+
+
+# -- the verifier against its dict-and-set referee --------------------------------
+
+
+@st.composite
+def host_certificates(draw):
+    """A valid certificate: a direct clique on part of a maximum clique of a
+    small graph (or of its complement, so that dense hosts are common), or a
+    small path or cycle inflation's engine certificate."""
+    kind = draw(st.sampled_from(["clique", "path", "cycle"]))
+    if kind == "clique":
+        g = draw(graphs(max_n=10))
+        if draw(st.booleans()):
+            g = g.complement()
+        _, witness = max_clique(g)
+        order = draw(st.permutations(sorted(witness)))
+        return g, direct_clique_certificate(g, order[draw(st.integers(0, len(order))):])
+    k = draw(st.sampled_from([2, 4, 6]) if kind == "path" else st.integers(3, 9))
+    spec = random_inflation(kind, k, draw(st.integers(1, 4)), draw(st.integers(0, 10**6)))
+    g, bags = inflate(spec.base, spec.sizes)
+    return g, (inflate_path(g, bags) if kind == "path" else inflate_cycle(g, bags)[0])
+
+
+MUTATIONS = ["none", "flip", "splice", "branch-inside", "drop", "extra-key",
+             "bad-walk-vertex", "bad-branch-vertex", "repeat"]
+
+
+def mutate(draw, g, cert):
+    """One of the edits a tampered certificate can carry; None when the
+    certificate is too small for the drawn edit."""
+    how = draw(st.sampled_from(MUTATIONS))
+    branch = list(cert.branch)
+    items = [(key, list(walk)) for key, walk in cert.paths.items()]
+    if how in ("flip", "splice", "branch-inside", "drop", "bad-walk-vertex", "repeat"):
+        if not items:
+            return None
+        i = draw(st.integers(0, len(items) - 1))
+        walk = items[i][1]
+    if how == "flip":
+        pool = branch if draw(st.booleans()) else list(range(g.n))
+        walk[draw(st.integers(0, len(walk) - 1))] = draw(st.sampled_from(pool))
+    elif how == "splice":
+        # Run along another path from the same start, then step to this
+        # path's end: the shared prefix's edges are used twice.
+        a, c = walk[0], walk[-1]
+        detours = [w2[:j + 1] + [c] for key, w2 in items if key != items[i][0] and w2[0] == a
+                   for j in range(1, len(w2)) if c not in w2[:j + 1] and g.has_edge(w2[j], c)]
+        if not detours:
+            return None
+        walk[:] = draw(st.sampled_from(detours))
+    elif how == "branch-inside":
+        # Reroute some path a -> b through a branch vertex z, as a, [p,] z,
+        # [q,] b over edges no path uses: only condition III can fail.  Or
+        # put a branch vertex anywhere inside, when there is no such route.
+        used = {frozenset(step) for _, w2 in items for step in zip(w2, w2[1:])}
+        free = [[y for y in range(g.n) if g.has_edge(x, y) and {x, y} not in used]
+                for x in range(g.n)]
+        routes = [(h, route) for h, ((a, b), _) in enumerate(items) for z in branch
+                  for p in (None, *free[a]) for q in (None, *free[b])
+                  if (route := [v for v in (a, p, z, q, b) if v is not None])
+                  and len(set(route)) == len(route)
+                  and all(y in free[x] for x, y in zip(route, route[1:]))]
+        if routes:
+            h, route = draw(st.sampled_from(routes))
+            items[h][1][:] = route
+        elif branch:
+            walk.insert(draw(st.integers(1, len(walk) - 1)), draw(st.sampled_from(branch)))
+        else:
+            return None
+    elif how == "drop":
+        del items[i]
+    elif how == "extra-key":
+        key = draw(st.sampled_from([(u, v) for u in range(g.n + 1) for v in range(u, g.n + 1)]))
+        if key in cert.paths:
+            return None
+        items.insert(draw(st.integers(0, len(items))), (key, list(key)))
+    elif how == "bad-walk-vertex":
+        walk[draw(st.integers(0, len(walk) - 1))] = draw(st.sampled_from([True, False, -1, g.n]))
+    elif how == "bad-branch-vertex":
+        if not branch:
+            return None
+        branch[draw(st.integers(0, len(branch) - 1))] = draw(st.sampled_from([True, -1, g.n]))
+    elif how == "repeat":
+        walk.insert(draw(st.integers(0, len(walk))), draw(st.sampled_from(walk)))
+    return ImmersionCertificate(cert.host_hash, tuple(branch),
+                                {key: tuple(walk) for key, walk in items})
+
+
+@given(host_certificates(), st.data())
+@settings(max_examples=1000, deadline=None)
+def test_verifier_matches_the_referee_on_tampered_certificates(host, data):
+    g, cert = host
+    assert verify_certificate(g, cert) == ref_verify_certificate(g, cert) == Verdict(True)
+    tampered = mutate(data.draw, g, cert)
+    if tampered is not None:
+        assert verify_certificate(g, tampered) == ref_verify_certificate(g, tampered)
+
+
+@pytest.mark.parametrize("paths", [
+    # Branch vertex 2 inside a path: second of three, third of five, second of four.
+    {(0, 1): (0, 2, 1), (0, 2): (0, 3, 2), (1, 2): (1, 4, 2)},
+    {(0, 1): (0, 3, 2, 4, 1), (0, 2): (0, 2), (1, 2): (1, 2)},
+    {(0, 1): (0, 2, 3, 1), (0, 2): (0, 4, 2), (1, 2): (1, 2)},
+    # Edge 3-4 walked in both directions.
+    {(0, 1): (0, 3, 4, 1), (0, 2): (0, 4, 3, 2), (1, 2): (1, 2)},
+])
+def test_verifier_matches_the_referee_on_fixed_faults(paths):
+    g = complete_graph(6)
+    cert = ImmersionCertificate(g.sha256(), (0, 1, 2), paths)
+    verdict = verify_certificate(g, cert)
+    assert verdict == ref_verify_certificate(g, cert) and not verdict.ok

@@ -8,7 +8,7 @@ import pickle
 import time
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from immlab.graphs import (
     FOUR_VERTEX_PATTERNS,
@@ -27,7 +27,7 @@ from immlab.graphs import (
     pattern,
 )
 
-from conftest import count_calls, graphs
+from conftest import count_calls, graphs, ref_edges, ref_to_json, ref_to_text
 
 
 def test_bits_and_mask_round_trip():
@@ -75,6 +75,36 @@ def test_canonical_json_is_bit_exact():
     # Key order and edge sort are part of the format.
     parsed = json.loads(doc)
     assert list(parsed) == ["format", "n", "edges"]
+
+
+@given(graphs(max_n=40), st.booleans())
+@example(empty_graph(0), False)
+@example(empty_graph(1), False)
+@example(empty_graph(40), False)
+@example(empty_graph(40), True)
+@settings(max_examples=200)
+def test_canonical_bytes_match_the_bit_by_bit_reference(g, dense):
+    if dense:
+        g = g.complement()
+    assert g.edges() == ref_edges(g)
+    assert g.to_json() == ref_to_json(g)
+    assert g.to_text() == ref_to_text(g)
+    assert graph_from_json(g.to_json()) == g and graph_from_text(g.to_text()) == g
+
+
+def test_largest_complete_graph_round_trips_quickly():
+    n = MAX_VERTICES
+    full = (1 << n) - 1
+    g = Graph(n, tuple(full & ~(1 << v) for v in range(n)))
+    seconds = []
+    for _ in range(2):   # the faster of two rounds, in CPU time: a busy host is not the code
+        start = time.process_time()
+        text = g.to_json()
+        parsed = graph_from_json(text)
+        seconds.append(time.process_time() - start)
+    assert min(seconds) < 10.0
+    assert parsed == g
+    assert parsed.sha256() == g.sha256() == hashlib.sha256(text.encode("ascii")).hexdigest()
 
 
 def test_sha256_matches_independent_hash(monkeypatch):

@@ -221,6 +221,31 @@ def test_inflate_cycle_builds_no_graph_and_hashes_only_the_host(monkeypatch, k):
     assert verify_certificate(g, cert).ok and proper(g, colouring)
 
 
+def test_cycle_build_shortcuts_only_the_walks_that_rode_a_seam(monkeypatch):
+    """An inner walk needs a shortcut only if one of its steps joins the
+    inner cycle's first and last bags, which the caller's seam paths replace."""
+    g, bags = inflate(cycle_graph(9), (2,) * 9)
+    levels = []                       # (bags, paths) per call, deepest first
+    real = inflation._cycle_build
+
+    def recording(level_bags):
+        out = real(level_bags)
+        levels.append((level_bags, out[1]))
+        return out
+
+    monkeypatch.setattr(inflation, "_cycle_build", recording)
+    counts = count_calls(monkeypatch, inflation, "_shortcut")
+    cert, colouring = inflate_cycle(g, bags)
+    assert verify_certificate(g, cert).ok and proper(g, colouring)
+    inner = levels[:-1]
+    seam_walks = sum(
+        any((x in first and y in last) or (y in first and x in last)
+            for x, y in zip(walk, walk[1:]))
+        for first, last, paths in ((set(b[0]), set(b[-1]), p) for b, p in inner)
+        for walk in paths.values())
+    assert 0 < counts["_shortcut"] <= seam_walks < sum(len(p) for _, p in inner)
+
+
 def test_shortcut_cuts_closed_subwalks_in_walk_order():
     # A detour that comes back to a vertex is cut away.
     assert inflation._shortcut([0, 2, 1, 2]) == [0, 2]

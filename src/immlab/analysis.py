@@ -20,26 +20,30 @@ MAX_HOST_5PATTERN = 512
 # -- cliques and independent sets --------------------------------------------
 
 
-def max_clique(g: Graph) -> tuple[int, frozenset[int]]:
-    """Maximum clique size and one witness (branch and bound, colour bound).
+def max_clique(g: Graph, within: int | None = None) -> tuple[int, frozenset[int]]:
+    """Maximum clique size and one witness (branch and bound, colour bound)
+    among the vertices of the mask ``within`` (host ids; default all).
 
     The search runs on a relabelled copy in non-increasing degree order,
     ties to the lower id (Tomita & Seki's MCQ initial order): vertices that
     see almost everything take the first greedy colours, so they are
     branched on last and pruned at once.
     """
-    if g.n > MAX_CLIQUE_N:
-        raise PreconditionError(f"max_clique limited to n <= {MAX_CLIQUE_N}, got {g.n}")
-    if g.n == 0:
+    within = g.vertex_mask if within is None else within
+    n = within.bit_count()
+    if n > MAX_CLIQUE_N:
+        raise PreconditionError(f"max_clique limited to n <= {MAX_CLIQUE_N}, got {n}")
+    if n == 0:
         return 0, frozenset()
-    by_degree = sorted(range(g.n), key=[-row.bit_count() for row in g.adj].__getitem__)
+    by_degree = sorted(bits(within), key=[-(row & within).bit_count()
+                                          for row in g.adj].__getitem__)
     label = [0] * g.n
     for new, old in enumerate(by_degree):
         label[old] = 1 << new
     adj = []
     for old in by_degree:
         row = 0
-        rest = g.adj[old]
+        rest = g.adj[old] & within
         while rest:
             low = rest & -rest
             row |= label[low.bit_length() - 1]
@@ -78,7 +82,7 @@ def max_clique(g: Graph) -> tuple[int, frozenset[int]]:
                 best_mask = r_mask | (1 << v)
             cand &= ~(1 << v)
 
-    expand(0, 0, g.vertex_mask)
+    expand(0, 0, (1 << n) - 1)
     return best_size, frozenset(by_degree[v] for v in bits(best_mask))
 
 
@@ -273,8 +277,10 @@ def find_induced(g: Graph, h: Graph) -> frozenset[int] | None:
 # -- holes ---------------------------------------------------------------------
 
 
-def find_hole_in_range(g: Graph, lo: int, hi: int) -> tuple[int, ...] | None:
-    """First induced cycle with length in [lo, hi]; lo must be >= 4.
+def find_hole_in_range(g: Graph, lo: int, hi: int, within: int | None = None
+                       ) -> tuple[int, ...] | None:
+    """First induced cycle with length in [lo, hi] among the vertices of the
+    mask ``within`` (host ids; default all); lo must be >= 4.
 
     The returned tuple lists the hole in cyclic order starting at its minimum
     vertex.  Search is DFS over induced paths whose start is the path minimum,
@@ -284,7 +290,9 @@ def find_hole_in_range(g: Graph, lo: int, hi: int) -> tuple[int, ...] | None:
         raise ValueError(f"holes start at length 4, got lo={lo}")
     if hi < lo:
         raise ValueError(f"empty range [{lo}, {hi}]")
-    adj = g.adj
+    # A vertex outside ``within`` gets an empty row, so no path starts there.
+    adj = g.adj if within is None else [row & within if within >> v & 1 else 0
+                                        for v, row in enumerate(g.adj)]
 
     def grow(s: int, path: list[int], forbidden: int) -> tuple[int, ...] | None:
         # forbidden: <= s, already used, or adjacent to a non-tip path vertex.
@@ -315,31 +323,31 @@ def find_hole_in_range(g: Graph, lo: int, hi: int) -> tuple[int, ...] | None:
 # -- chordality ------------------------------------------------------------------
 
 
-def chordal_peo(g: Graph) -> tuple[int, ...] | None:
-    """A perfect elimination ordering if g is chordal, else None.
+def chordal_peo(g: Graph, within: int | None = None) -> tuple[int, ...] | None:
+    """A perfect elimination ordering of the vertices of the mask ``within``
+    (host ids; default all) if they induce a chordal graph, else None.
 
     Maximum-cardinality search (max visited-neighbour count, lowest id on
     ties); the reverse visit order is a PEO iff the graph is chordal, which
     the standard earliest-later-neighbour check confirms.
     """
-    n = g.n
-    weight = [0] * n
+    within = g.vertex_mask if within is None else within
+    weight = [0] * g.n
     visited = 0
     visit: list[int] = []
-    for _ in range(n):
-        v = max((u for u in range(n) if not visited >> u & 1),
-                key=lambda u: (weight[u], -u))
+    for _ in range(within.bit_count()):
+        v = max(bits(within & ~visited), key=lambda u: (weight[u], -u))
         visit.append(v)
         visited |= 1 << v
-        for u in bits(g.adj[v] & ~visited):
+        for u in bits(g.adj[v] & ~visited & within):
             weight[u] += 1
     peo = visit[::-1]
-    pos = [0] * n
+    pos = [0] * g.n
     for i, v in enumerate(peo):
         pos[v] = i
-    for v in range(n):
+    for v in peo:
         later = 0
-        for u in bits(g.adj[v]):
+        for u in bits(g.adj[v] & within):
             if pos[u] > pos[v]:
                 later |= 1 << u
         if later:
@@ -350,8 +358,9 @@ def chordal_peo(g: Graph) -> tuple[int, ...] | None:
 
 
 def peo_max_clique(g: Graph, peo: tuple[int, ...]) -> frozenset[int]:
-    """Maximum clique of a chordal graph read off a perfect elimination order."""
-    pos = [0] * g.n
+    """Maximum clique of a chordal graph read off a perfect elimination order
+    of the subgraph induced on the vertices it lists."""
+    pos = [-1] * g.n
     for i, v in enumerate(peo):
         pos[v] = i
     best: frozenset[int] = frozenset()

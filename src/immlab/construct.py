@@ -28,14 +28,14 @@ once, then calls a private builder (``_extend_c4`` and ``_extend_articulated``
 for the steps, which grow the checked sub-certificate's path dict in place);
 callers that have proved a builder's precondition call it directly.
 
-The house-free and owh-free routes (and the P4, paw, twoK2 and K3v routes)
-run the paper's induction as one loop, ``_peel``, over a mask of the live
-vertices of the input, in its own ids: a ``ClaimViolation`` raised there
-carries the input graph and lists the live vertices as ``"live"``.  The
-loop's builders extend one path dict, and ``_emit`` keeps each walk inside
-its step's live set, so no step copies or rescans the sub-certificate.  Only
-the residue at the end is copied; a violation inside its build names the
-residue, whose vertex i is the i-th lowest live vertex.
+Every builder works on the input graph and a mask ``live`` of the vertices
+it builds over, in the input's own ids: no route copies a subgraph, hashes a
+copy or relabels a certificate, and every ``ClaimViolation`` carries the
+input graph.  The house-free and owh-free routes (and the P4, paw, twoK2 and
+K3v routes) run the paper's induction as one loop, ``_peel``, whose
+violations also list the live vertices as ``"live"``.  The loop's builders
+extend one path dict, and ``_emit`` keeps each walk inside its step's live
+set, so no step copies or rescans the sub-certificate.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from functools import partial
 from itertools import combinations, permutations
 from typing import Callable
 
+from . import inflation
 from .analysis import (
     _induced_embedding,
     chordal_peo,
@@ -59,15 +60,12 @@ from .certificates import (
     Pair,
     Walk,
     direct_clique_certificate,
-    extend_with_universal,
-    lift_certificate,
     ordered_pair,
     trim_certificate,
     verify_certificate,
 )
 from .errors import ClaimViolation, PreconditionError
 from .graphs import FOUR_VERTEX_PATTERNS, Graph, bits, mask_of, pattern
-from .inflation import cycle_inflation_chromatic, inflate_cycle
 from .oracle import OracleBudget, max_immersion_order
 
 #: A partition of the vertex set into two cliques (the second may be empty).
@@ -192,17 +190,6 @@ def _escape_clique(g: Graph, live: int, v: int) -> ImmersionCertificate:
     return trim_certificate(direct_clique_certificate(g, members), need)
 
 
-def _lifted(g: Graph, live: int, build: Callable[[Graph], ImmersionCertificate]
-            ) -> ImmersionCertificate:
-    """``build`` run on the subgraph induced on ``live``, lifted back into g;
-    run on g itself when ``live`` is all of it."""
-    if live == g.vertex_mask:
-        return build(g)
-    sub, remap = g.induced_subgraph(bits(live))
-    back = {new: old for old, new in remap.items()}
-    return lift_certificate(build(sub), back, g)
-
-
 def _base_case(g: Graph, live: int) -> ImmersionCertificate | None:
     """The shared ends of the peeling routes on the n vertices of ``live``, at
     order exactly ceil(n/2): a maximum clique when n <= 4, and a complete
@@ -210,7 +197,7 @@ def _base_case(g: Graph, live: int) -> ImmersionCertificate | None:
     n = live.bit_count()
     need = half_ceil(n)
     if n <= 4:
-        cert = _lifted(g, live, lambda sub: direct_clique_certificate(sub, max_clique(sub)[1]))
+        cert = direct_clique_certificate(g, max_clique(g, live)[1])
         if cert.order < need:
             raise ClaimViolation("tiny graph with independence <= 2 lacks a "
                                  "half-order clique", graph=g)
@@ -244,68 +231,70 @@ def hole_free_immersion(g: Graph) -> ImmersionCertificate:
     universal vertices join as direct branch vertices -- total order
     chi(inflation) + #universals = chi(g).
     """
-    alpha, _ = independence_number(g)
-    if alpha <= 1:
+    if g.is_clique(g.vertex_mask):
         return direct_clique_certificate(g, range(g.n))
+    alpha = 2 if independent_triple(g) is None else independence_number(g)[0]
     bad = find_hole_in_range(g, 4, 2 * alpha)
     if bad is not None:
         raise PreconditionError(
             f"input has a hole of length {len(bad)} inside [4, {2 * alpha}]: {bad}")
-    return _hole_free_build(g, alpha)
+    return _hole_free_build(g, alpha, g.vertex_mask)
 
 
-def _hole_free_build(g: Graph, alpha: int) -> ImmersionCertificate:
-    """The construction of ``hole_free_immersion``, for a graph with
-    independence at most ``alpha`` and no hole of length in [4, 2*alpha]:
-    it starts at the (2*alpha+1)-hole search.  At alpha = 2 the hole
-    condition is exactly "no induced C4"."""
-    hole = find_hole_in_range(g, 2 * alpha + 1, 2 * alpha + 1)
+def _hole_free_build(g: Graph, alpha: int, live: int) -> ImmersionCertificate:
+    """The construction of ``hole_free_immersion`` on ``live``, whose induced
+    subgraph has independence at most ``alpha`` and no hole of length in
+    [4, 2*alpha]: it starts at the (2*alpha+1)-hole search.  At alpha = 2
+    the hole condition is exactly "no induced C4"."""
+    hole = find_hole_in_range(g, 2 * alpha + 1, 2 * alpha + 1, live)
     if hole is None:
-        peo = chordal_peo(g)
+        peo = chordal_peo(g, live)
         if peo is None:
             raise ClaimViolation(
                 "graph with no holes at all must be chordal", graph=g)
         return direct_clique_certificate(g, peo_max_clique(g, peo))
-    bags, universal = _decompose_around_hole(g, hole)
-    sub, remap = g.delete_vertices(universal)
-    sub_bags = tuple(tuple(remap[v] for v in bag) for bag in bags)
+    bags, universal = _decompose_around_hole(g, hole, live)
     try:
-        cert_core, _colours = inflate_cycle(sub, sub_bags)
+        inflation._validate_cycle_bags(g, bags, live & ~mask_of(universal))
     except PreconditionError as exc:
         raise ClaimViolation(
             f"the bags around a longest hole must form an exact inflation of "
             f"its cycle: {exc}", graph=g, context={"hole": hole, "bags": bags}) from exc
-    chi_core, _sets = cycle_inflation_chromatic(tuple(len(b) for b in sub_bags))
-    cert_core = trim_certificate(cert_core, chi_core)
-    back = {new: old for old, new in remap.items()}
-    lifted = lift_certificate(cert_core, back, g)
-    return extend_with_universal(g, lifted, universal)
+    branch, paths, _colours = inflation._cycle_build(bags)
+    chi_core, _sets = inflation.cycle_inflation_chromatic(tuple(len(b) for b in bags))
+    core = trim_certificate(ImmersionCertificate(g.sha256(), branch, paths), chi_core)
+    # The universal vertices are in no bag: each joins the branch by direct edges.
+    branch = (*core.branch, *universal)
+    for i, w in enumerate(universal, len(core.branch)):
+        for u in branch[:i]:
+            _emit(g, live, core.paths, [u, w])
+    return ImmersionCertificate(core.host_hash, tuple(sorted(branch)), core.paths)
 
 
-def _decompose_around_hole(g: Graph, hole: tuple[int, ...]
+def _decompose_around_hole(g: Graph, hole: tuple[int, ...], live: int
                            ) -> tuple[tuple[tuple[int, ...], ...], list[int]]:
-    """Tile the graph around a longest hole into bags and universal vertices.
+    """Tile ``live`` around a longest hole into bags and universal vertices.
 
-    Every vertex outside the hole must either see the entire hole (and then
-    be universal in g) or see exactly three consecutive hole vertices, and
-    joins the bag of the middle one.  Each failed claim raises with the
-    offending vertices attached.  That the bags form an exact inflation of the
-    hole's cycle is checked once, by ``inflate_cycle``.
+    Every live vertex outside the hole must either see the entire hole (and
+    then see every live vertex) or see exactly three consecutive hole
+    vertices, and joins the bag of the middle one.  Each failed claim raises
+    with the offending vertices attached.  That the bags form an exact
+    inflation of the hole's cycle is checked once, by the caller.
     """
     k = len(hole)
     hmask = mask_of(hole)
     pos = {h: i for i, h in enumerate(hole)}
     groups: list[list[int]] = [[] for _ in range(k)]
     universal: list[int] = []
-    for u in bits(g.vertex_mask & ~hmask):
+    for u in bits(live & ~hmask):
         att = g.adj[u] & hmask
         if att == hmask:
-            if g.non_neighbors(u):
+            missed = live & g.non_neighbors(u)
+            if missed:
                 raise ClaimViolation(
                     "vertex seeing the whole hole must be universal",
                     graph=g,
-                    context={"vertex": u, "hole": hole,
-                             "missed": sorted(bits(g.non_neighbors(u)))})
+                    context={"vertex": u, "hole": hole, "missed": sorted(bits(missed))})
             universal.append(u)
             continue
         seen = {pos[x] for x in bits(att)}
@@ -614,8 +603,7 @@ def _peel(g: Graph, p4_steps: bool) -> ImmersionCertificate:
                 step = _c4_step(g, live)
             if step is None:
                 # No induced C4 and independence <= 2: no hole in [4, 4].
-                cert = trim_certificate(_lifted(g, live, lambda sub: _hole_free_build(sub, 2)),
-                                        half_ceil(live.bit_count()))
+                cert = trim_certificate(_hole_free_build(g, 2, live), half_ceil(live.bit_count()))
                 break
             peeled, extend = step
             steps.append((live, extend))
@@ -696,27 +684,29 @@ def k4_free_immersion(g: Graph) -> ImmersionCertificate:
     return _k4_free_inner(g)
 
 
-def _k4_free_inner(g: Graph) -> ImmersionCertificate:
-    n = g.n
+def _k4_free_inner(g: Graph, live: int | None = None) -> ImmersionCertificate:
+    """The construction of ``k4_free_immersion`` on a prefix mask (default all of g)."""
+    live = g.vertex_mask if live is None else live
+    n = live.bit_count()
     if n > 8:
         raise ClaimViolation(
             "a K4-free graph with independence number at most 2 cannot have "
             "nine or more vertices", graph=g)
-    base = _base_case(g, g.vertex_mask)
+    base = _base_case(g, live)
     if base is not None:
         return base
     if n == 5:
-        omega, clique = max_clique(g)
+        omega, clique = max_clique(g, live)
         if omega >= 3:
             return direct_clique_certificate(g, sorted(clique)[:3])
-        cyc = find_hole_in_range(g, 4, 5)
+        cyc = find_hole_in_range(g, 4, 5, live)
         if cyc is None:
             raise ClaimViolation(
                 "triangle-free 5-vertex graph with independence <= 2 must "
                 "carry a cycle", graph=g)
         return _cycle_k3(g, cyc)
     if n in (6, 8):
-        return _lifted(g, g.vertex_mask >> 1, _k4_free_inner)
+        return _k4_free_inner(g, live >> 1)
     return _k4_on_seven(g)
 
 
@@ -869,7 +859,7 @@ def _components_within(g: Graph, mask: int) -> list[int]:
 #: The builder for each excluded 4-vertex pattern; it assumes independence
 #: <= 2 and the pattern's absence, which its caller has checked.
 _PATTERN_BUILDERS: dict[str, Callable[[Graph], ImmersionCertificate]] = {
-    "C4": lambda g: _hole_free_build(g, 2),
+    "C4": lambda g: _hole_free_build(g, 2, g.vertex_mask),
     "P4": _house_free_inner,
     "paw": _house_free_inner,
     "twoK2": _owh_free_inner,

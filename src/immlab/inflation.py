@@ -15,7 +15,8 @@ Each engine checks its preconditions once, then calls a private builder
 that works on bag ids alone and consults no graph; only the public entry
 points hash the host.  The cycle builder recurses on the (k-2)-cycle
 inflation of the remaining bags, numbered by fresh consecutive ids, builds
-its seam with the path builder, and maps the inner walks back to its own ids.
+its seam with the path engine's cross walks alone, and maps the inner walks
+back to its own ids.
 
 ``cycle_inflation_chromatic`` computes the exact chromatic number of a cycle
 inflation in polynomial time by a transfer DP; it is independent of the
@@ -148,28 +149,23 @@ def inflate_path(g: Graph, bags: Bags) -> ImmersionCertificate:
         raise PreconditionError("first bag must be no bigger than every bag")
     if any(len(bags[j]) < len(bags[L - 1]) for j in range(1, L, 2)):
         raise PreconditionError("last bag must be no bigger than every even-position bag")
-    branch, paths = _path_build(bags)
-    return ImmersionCertificate(g.sha256(), branch, paths)
+    paths = {(u, v): (u, v) for bag in (bags[0], bags[L - 1])
+             for u, v in combinations(sorted(bag), 2)}
+    return ImmersionCertificate(g.sha256(), tuple(sorted((*bags[0], *bags[L - 1]))),
+                                _cross_walks(bags, paths))
 
 
-def _path_build(bags: Bags) -> tuple[tuple[int, ...], dict[Pair, Walk]]:
-    """``inflate_path``'s branch and paths, for bags that meet its preconditions."""
+def _cross_walks(bags: Bags, paths: dict[Pair, Walk]) -> dict[Pair, Walk]:
+    """``paths`` with ``inflate_path``'s paths between the two end bags added,
+    for bags that meet its preconditions."""
     L = len(bags)
-    p = len(bags[0])
-    q = len(bags[L - 1])
     rows = [tuple(sorted(b)) for b in bags]
-    paths: dict[Pair, Walk] = {}
-    for u, v in combinations(sorted(bags[0]), 2):
-        paths[(u, v)] = (u, v)
-    for u, v in combinations(sorted(bags[L - 1]), 2):
-        paths[(u, v)] = (u, v)
-    for r in range(p):
-        for s in range(q):
+    for r in range(len(bags[0])):
+        for s in range(len(bags[L - 1])):
             walk = tuple(rows[j][r if j % 2 == 0 else s] for j in range(L))
             key = ordered_pair(walk[0], walk[-1])
             paths[key] = walk if walk[0] == key[0] else walk[::-1]
-    branch = tuple(sorted(set(bags[0]) | set(bags[L - 1])))
-    return branch, paths
+    return paths
 
 
 # -- exact chromatic number of cycle inflations -------------------------------------
@@ -250,10 +246,11 @@ def cycle_inflation_chromatic(sizes: tuple[int, ...]) -> tuple[int, tuple[tuple[
 # -- cycle inflations ----------------------------------------------------------------
 
 
-def _validate_cycle_bags(g: Graph, bags: Bags) -> None:
+def _validate_cycle_bags(g: Graph, bags: Bags, cover: int) -> None:
+    """The bags tile the vertices of the mask ``cover`` as an exact cycle inflation."""
     masks = _check_bags(g, bags, minimum=3)
     k = len(bags)
-    if sum(masks) != g.vertex_mask:  # the masks are disjoint
+    if sum(masks) != cover:  # the masks are disjoint
         raise PreconditionError("bags must cover every host vertex")
     for i in range(k):
         for j in range(i + 1, k):
@@ -292,7 +289,7 @@ def inflate_cycle(g: Graph, bags: Bags) -> tuple[ImmersionCertificate, tuple[int
     forces the count up -- and then the heavy pair is itself a big enough
     clique to certify directly.
     """
-    _validate_cycle_bags(g, bags)
+    _validate_cycle_bags(g, bags, g.vertex_mask)
     branch, paths, colour = _cycle_build(bags)
     return ImmersionCertificate(g.sha256(), branch, paths), colour
 
@@ -325,26 +322,29 @@ def _shortcut(walk: list[int]) -> list[int]:
 
 def _cycle_build(bags: Bags) -> tuple[tuple[int, ...], dict[Pair, Walk], tuple[int, ...]]:
     """Branch, paths and colouring of ``inflate_cycle`` over the ids of
-    ``bags``, which tile range(n) as an exact cycle inflation.
+    ``bags``, which form an exact cycle inflation; the colouring is indexed
+    by id up to the largest, and ids in no bag get -1.
 
     No graph is consulted.  The top-level bags were proved exact by
     ``_validate_cycle_bags``, so every pair inside a bag or across adjacent
-    bags is an edge, and the inner levels are exact by construction.  The
-    seam bags meet ``inflate_path``'s size conditions by the rotation.
+    bags is an edge, and the inner levels, numbered from 0, are exact by
+    construction.  The seam bags meet ``inflate_path``'s size conditions by
+    the rotation.
     """
     k = len(bags)
     sizes = [len(b) for b in bags]
-    n = sum(sizes)
+    colour = [-1] * (1 + max(map(max, bags)))
 
     if k == 3:
-        branch, paths = _clique(range(n))
-        return branch, paths, tuple(range(n))
+        branch, paths = _clique(v for bag in bags for v in bag)
+        for c, v in enumerate(branch):
+            colour[v] = c
+        return branch, paths, tuple(colour)
 
     if k == 4:
         heavy = _max_adjacent_rotation(sizes)
         branch, paths = _clique([*bags[heavy], *bags[(heavy + 1) % 4]])
         x = max(sizes[0], sizes[2])
-        colour = [-1] * n
         for bag_index, base in ((0, 0), (2, 0), (1, x), (3, x)):
             for offset, v in enumerate(sorted(bags[bag_index])):
                 colour[v] = base + offset
@@ -371,7 +371,6 @@ def _cycle_build(bags: Bags) -> tuple[tuple[int, ...], dict[Pair, Walk], tuple[i
 
     # Extend the colouring to the two heavy bags.
     t_inner = max(inner_colour) + 1
-    colour = [-1] * n
     for a, c in enumerate(inner_colour):
         colour[to_host[a]] = c
     first_colours = sorted(colour[v] for v in rb[0])
@@ -401,9 +400,9 @@ def _cycle_build(bags: Bags) -> tuple[tuple[int, ...], dict[Pair, Walk], tuple[i
 
     # All |B_{k-3}| x |B_0| seam paths through the two heavy bags.
     if rs[k - 3] <= rs[0]:
-        _, seam = _path_build((rb[k - 3], rb[k - 2], rb[k - 1], rb[0]))
+        seam = _cross_walks((rb[k - 3], rb[k - 2], rb[k - 1], rb[0]), {})
     else:
-        _, seam = _path_build((rb[0], rb[k - 1], rb[k - 2], rb[k - 3]))
+        seam = _cross_walks((rb[0], rb[k - 1], rb[k - 2], rb[k - 3]), {})
 
     # Each inner step within a bag or between adjacent inner bags is a host
     # edge, except a step between the two end bags, which rides its seam path.

@@ -50,7 +50,7 @@ from immlab.graphs import (
     path_graph,
     pattern,
 )
-from immlab.inflation import inflate, inflate_cycle
+from immlab.inflation import cycle_inflation_chromatic, inflate, inflate_cycle
 from immlab.oracle import OracleBudget, brute_force_immersion
 
 from conftest import complement_join, count_calls, p4_free_join
@@ -91,6 +91,15 @@ def test_hole_free_frozen_orders():
 def test_hole_free_rejects_short_holes():
     with pytest.raises(PreconditionError):
         hole_free_immersion(cycle_graph(4))
+
+
+def test_hole_free_reads_alpha_two_from_the_triple_test_above_the_clique_gate():
+    """C5[K30] joined to K10 has n = 160, above the n <= 128 clique search:
+    with no independent triple, alpha is 2, and the route reaches chi."""
+    core, _bags = inflate(cycle_graph(5), (30,) * 5)
+    g = join(core, complete_graph(10))
+    chi = cycle_inflation_chromatic((30,) * 5)[0] + 10
+    assert checked(g, hole_free_immersion(g), chi) and chi == 85
 
 
 def test_hole_free_empty_graph():
@@ -535,9 +544,8 @@ PEEL_HOSTS = {"house": lambda: p4_free_join(64),
                                          (owh_free_immersion, "owh")])
 def test_recursive_routes_skip_the_extension_checks(monkeypatch, route, name):
     """The peeling loop proves each dominating structure it finds, so it
-    calls the extension builders, not the checking public steps; it copies
-    the graph at most once, for what is left at the end, and never copies or
-    rescans a sub-certificate."""
+    calls the extension builders, not the checking public steps; it never
+    copies the graph, and never copies or rescans a sub-certificate."""
     g = PEEL_HOSTS[name]()
     counts = count_calls(monkeypatch, construct, "_extend_c4", "_extend_articulated",
                          "_require_induced_at", "_require_dominating_edges",
@@ -548,7 +556,7 @@ def test_recursive_routes_skip_the_extension_checks(monkeypatch, route, name):
     assert counts["_require_induced_at"] == 0
     assert counts["_require_dominating_edges"] == 0
     assert counts["_prepare_subcert"] == 0
-    assert copies["induced_subgraph"] <= 1
+    assert copies["induced_subgraph"] == 0
 
 
 @pytest.mark.parametrize("host, name, digest", [
@@ -593,15 +601,67 @@ def test_peeling_violation_names_input_vertices():
 
 def test_hole_free_build_reports_a_non_inflation_as_claim_violation():
     """Vertices 5 and 6 both see hole vertices 0, 1, 2, so both join bag 0
-    with hole vertex 1, but they are not adjacent: the shape check in
-    ``inflate_cycle`` fails, and the builder keeps the graph and the hole."""
+    with hole vertex 1, but they are not adjacent: the inflation shape check
+    fails, and the builder keeps the graph and the hole."""
     cycle = [(i, (i + 1) % 5) for i in range(5)]
     g = Graph.from_edges(7, cycle + [(x, h) for x in (5, 6) for h in (0, 1, 2)])
     with pytest.raises(ClaimViolation, match="bag 0 is not a clique") as info:
-        construct._hole_free_build(g, 2)
+        construct._hole_free_build(g, 2, g.vertex_mask)
     assert info.value.graph == g
     assert info.value.context["hole"] == (0, 1, 2, 3, 4)
     assert info.value.context["bags"][0] == (1, 5, 6)
+
+
+def test_residue_violation_names_input_vertices():
+    """A graph of independence 3: after one C4 is peeled, the residue has the
+    5-hole (3, 8, 4, 7, 9), and vertex 6 sees none of it.  The violation
+    names the input graph and its vertex ids, as every peel step's does."""
+    edges = [(0, 1), (0, 2), (0, 3), (0, 4), (0, 7), (0, 8), (0, 9), (1, 3), (1, 4),
+             (1, 5), (1, 6), (1, 7), (1, 8), (1, 9), (2, 3), (2, 4), (2, 5), (2, 6),
+             (2, 7), (3, 8), (3, 9), (4, 5), (4, 7), (4, 8), (5, 6), (5, 7), (5, 8),
+             (5, 9), (7, 9)]
+    g = Graph.from_edges(10, edges)
+    with pytest.raises(ClaimViolation, match="exactly three consecutive hole vertices") as info:
+        construct._house_free_inner(g)
+    assert info.value.graph == g
+    assert info.value.context["vertex"] == 6
+    assert info.value.context["hole"] == (3, 8, 4, 7, 9)
+    assert info.value.context["live"] == [3, 4, 6, 7, 8, 9]
+
+
+def test_residue_vertex_universal_only_inside_the_live_set_joins_the_core():
+    """Vertex 9 sees the 5-cycle 4..8 and the peeled C4 except vertex 0: it
+    is universal in the residue, not in g, and still joins its branch."""
+    edges = [(0, 1), (1, 2), (2, 3), (0, 3)] + [(4 + i, 4 + (i + 1) % 5) for i in range(5)]
+    edges += [(a, r) for a in range(4) for r in range(4, 9)]
+    edges += [(9, v) for v in range(1, 9)]
+    g = Graph.from_edges(10, edges)
+    residue = construct._hole_free_build(g, 2, g.vertex_mask & ~0b1111)
+    assert residue.branch == (4, 7, 8, 9)
+    assert residue.paths[(4, 7)] == (4, 5, 6, 7) and residue.paths[(4, 9)] == (4, 9)
+    checked(g, house_free_immersion(g), 5)
+
+
+#: Routes that build over the input in place: each builds no graph and
+#: serialises only the host, once, for its hash.
+IN_PLACE_SOLVES = {
+    "k4": (lambda: random_hfree_alpha2("K4", 8, 0), k4_free_immersion),
+    "vergara:C4": (lambda: join(inflate(cycle_graph(5), (3,) * 5)[0], complete_graph(2)),
+                   lambda g: pattern_free_immersion(g, "C4")),
+    "forbholes": (lambda: forbholes_family(2, 1)[0], hole_free_immersion),
+    "house": (PEEL_HOSTS["house"], house_free_immersion),
+    "owh": (PEEL_HOSTS["owh"], owh_free_immersion),
+}
+
+
+@pytest.mark.parametrize("name", list(IN_PLACE_SOLVES))
+def test_routes_build_no_graph_and_hash_only_the_host(monkeypatch, name):
+    host, solve = IN_PLACE_SOLVES[name]
+    g = host()
+    counts = count_calls(monkeypatch, Graph, "__post_init__", "to_json")
+    cert = solve(g)
+    assert (counts["__post_init__"], counts["to_json"]) == (0, 1)
+    assert verify_certificate(g, cert).ok
 
 
 # -- each graph is serialised once ---------------------------------------------------

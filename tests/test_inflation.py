@@ -246,6 +246,30 @@ def test_cycle_build_shortcuts_only_the_walks_that_rode_a_seam(monkeypatch):
     assert 0 < counts["_shortcut"] <= seam_walks < sum(len(p) for _, p in inner)
 
 
+@pytest.mark.parametrize("sizes", [(2,) * 13, (5, 3, 5, 4, 5, 4, 5, 2, 4, 4, 2)])
+def test_cycle_seams_hold_only_the_cross_walks(monkeypatch, sizes):
+    """Each level's seam holds one walk per pair of its two end bags,
+    |B_{k-3}| * |B_0| in all, and nothing inside either bag."""
+    g, bags = inflate(cycle_graph(len(sizes)), sizes)
+    seams = []
+    real = inflation._cross_walks
+
+    def recording(seam_bags, paths):
+        out = real(seam_bags, paths)
+        seams.append((seam_bags, out))
+        return out
+
+    monkeypatch.setattr(inflation, "_cross_walks", recording)
+    cert, colouring = inflate_cycle(g, bags)
+    assert verify_certificate(g, cert).ok and proper(g, colouring)
+    assert len(seams) >= 4
+    for seam_bags, walks in seams:
+        first, last = set(seam_bags[0]), set(seam_bags[-1])
+        assert len(walks) == len(first) * len(last)
+        assert all((u in first) != (v in first) and (u in last) != (v in last)
+                   for u, v in walks)
+
+
 def test_shortcut_cuts_closed_subwalks_in_walk_order():
     # A detour that comes back to a vertex is cut away.
     assert inflation._shortcut([0, 2, 1, 2]) == [0, 2]

@@ -14,7 +14,7 @@ from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from typing import Callable
 
-from .certificates import lift_certificate, verify_certificate
+from .certificates import verify_certificate
 from .construct import (
     auto_immersion,
     extend_over_dominating_c4,
@@ -111,15 +111,13 @@ def _dominating_case(suite: str, family: Callable, extend: Callable, seed: int) 
         rng = Rng(seed)
         n = 6 + rng.below(7)
         g, planted = family(n, rng.next64())
-        removed = planted[:4]
-        sub, remap = g.delete_vertices(removed)
-        subcert = brute_force_immersion(sub, half_ceil(g.n - 4))
+        subcert = brute_force_immersion(g, half_ceil(g.n - 4),
+                                        within=g.vertex_mask & ~mask_of(planted[:4]))
         if subcert is None:
             raise ClaimViolation(
                 "small graph with independence <= 2 refused a half-order "
-                "immersion", graph=sub)
-        back = {new: old for old, new in remap.items()}
-        cert = extend(g, planted, lift_certificate(subcert, back, g))
+                "immersion", graph=g, context={"removed": planted[:4]})
+        cert = extend(g, planted, subcert)
         return _checked(g, cert, half_ceil(g.n))
     return _run_case(suite, seed, body)
 

@@ -1,4 +1,4 @@
-"""Immersion certificates: data model, canonical JSON, verifier, and combinators.
+"""Immersion certificates: data model, canonical JSON, verifier, and trimming.
 
 A certificate for "K_t immerses in g" names t distinct branch vertices and,
 for every pair of them, a path in g, such that
@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from itertools import chain, combinations, islice
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .graphs import Graph, collector_paused
 
@@ -122,7 +122,7 @@ def verify_certificate(g: Graph, cert: ImmersionCertificate) -> Verdict:
     return Verdict(True)
 
 
-# -- constructors and combinators ------------------------------------------------
+# -- constructors and trimming ---------------------------------------------------
 
 
 def direct_clique_certificate(g: Graph, vertices: Iterable[int]) -> ImmersionCertificate:
@@ -148,58 +148,6 @@ def trim_certificate(cert: ImmersionCertificate, target: int) -> ImmersionCertif
     kset = set(keep)
     paths = {k: w for k, w in cert.paths.items() if k[0] in kset and k[1] in kset}
     return ImmersionCertificate(cert.host_hash, keep, paths)
-
-
-def extend_with_universal(g: Graph, cert: ImmersionCertificate,
-                          universals: Iterable[int]) -> ImmersionCertificate:
-    """Add universal vertices as branch vertices, joined by direct edges.
-
-    Each new vertex must be adjacent to every other vertex of g, must not
-    already be a branch vertex, and must not sit inside an existing path --
-    then every new direct edge is fresh and all three conditions survive.
-    """
-    new = sorted(set(universals))
-    if cert.host_hash != g.sha256():
-        raise ValueError("certificate is not over this host graph")
-    bset = set(cert.branch)
-    interior = {x for walk in cert.paths.values() for x in walk[1:-1]}
-    for w in new:
-        if g.non_neighbors(w):
-            raise ValueError(f"vertex {w} is not universal")
-        if w in bset:
-            raise ValueError(f"vertex {w} is already a branch vertex")
-        if w in interior:
-            raise ValueError(f"vertex {w} sits inside an existing path")
-    paths = dict(cert.paths)
-    for w in new:
-        for u in cert.branch:
-            paths[ordered_pair(u, w)] = (min(u, w), max(u, w))
-    for w1, w2 in combinations(new, 2):
-        paths[(w1, w2)] = (w1, w2)
-    branch = tuple(sorted(bset.union(new)))
-    return ImmersionCertificate(cert.host_hash, branch, paths)
-
-
-def lift_certificate(cert: ImmersionCertificate, embed: Mapping[int, int],
-                     host: Graph) -> ImmersionCertificate:
-    """Transport a certificate through an injective edge-preserving map.
-
-    ``embed`` sends the certificate's vertex ids into ``host`` (typically the
-    inverse of the relabelling that ``induced_subgraph`` returned).
-    """
-    def m(v: int) -> int:
-        return embed[v]
-
-    branch = tuple(sorted(m(v) for v in cert.branch))
-    paths: dict[Pair, Walk] = {}
-    for (u, v), walk in cert.paths.items():
-        mu, mv = m(u), m(v)
-        mwalk = tuple(m(x) for x in walk)
-        if mu <= mv:
-            paths[(mu, mv)] = mwalk
-        else:
-            paths[(mv, mu)] = mwalk[::-1]
-    return ImmersionCertificate(host.sha256(), branch, paths)
 
 
 # -- canonical JSON ---------------------------------------------------------------

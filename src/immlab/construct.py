@@ -50,6 +50,7 @@ from .analysis import (
     chordal_peo,
     find_hole_in_range,
     find_induced,
+    find_induced_embedding,
     independence_number,
     independent_triple,
     max_clique,
@@ -234,19 +235,31 @@ def hole_free_immersion(g: Graph) -> ImmersionCertificate:
     if g.is_clique(g.vertex_mask):
         return direct_clique_certificate(g, range(g.n))
     alpha = 2 if independent_triple(g) is None else independence_number(g)[0]
-    bad = find_hole_in_range(g, 4, 2 * alpha)
-    if bad is not None:
-        raise PreconditionError(
-            f"input has a hole of length {len(bad)} inside [4, {2 * alpha}]: {bad}")
-    return _hole_free_build(g, alpha, g.vertex_mask)
+    try:
+        return _hole_free_build(g, alpha, g.vertex_mask)
+    except ClaimViolation:
+        # The build's one scan may meet the (2*alpha+1)-hole before a shorter
+        # one; a failed build rescans [4, 2*alpha] to blame the input.
+        bad = find_hole_in_range(g, 4, 2 * alpha)
+        if bad is not None:
+            raise _short_hole(bad, alpha) from None
+        raise
+
+
+def _short_hole(hole: tuple[int, ...], alpha: int) -> PreconditionError:
+    return PreconditionError(
+        f"input has a hole of length {len(hole)} inside [4, {2 * alpha}]: {hole}")
 
 
 def _hole_free_build(g: Graph, alpha: int, live: int) -> ImmersionCertificate:
     """The construction of ``hole_free_immersion`` on ``live``, whose induced
-    subgraph has independence at most ``alpha`` and no hole of length in
-    [4, 2*alpha]: it starts at the (2*alpha+1)-hole search.  At alpha = 2
-    the hole condition is exactly "no induced C4"."""
-    hole = find_hole_in_range(g, 2 * alpha + 1, 2 * alpha + 1, live)
+    subgraph has independence at most ``alpha``.  One scan over [4, 2*alpha+1]
+    finds the hole to build around; a hole of length at most 2*alpha fails
+    the precondition.  At alpha = 2 that is exactly "no induced C4", and on a
+    C4-free ``live`` the scan is the (2*alpha+1)-hole search."""
+    hole = find_hole_in_range(g, 4, 2 * alpha + 1, live)
+    if hole is not None and len(hole) <= 2 * alpha:
+        raise _short_hole(hole, alpha)
     if hole is None:
         peo = chordal_peo(g, live)
         if peo is None:
@@ -782,15 +795,13 @@ def k4minus_free_clique(g: Graph) -> tuple[ImmersionCertificate, TwoCliques | No
 
 def _k4minus_build(g: Graph) -> tuple[ImmersionCertificate, TwoCliques | None]:
     n = g.n
-    if n == 5 and all(g.degree(v) == 2 for v in range(5)):
-        cyc = find_hole_in_range(g, 4, 5)
-        if cyc is not None and len(cyc) == 5:
-            return _cycle_k3(g, cyc), None
     if all(g.degree(v) == n - 1 for v in range(n)):
         full = frozenset(range(n))
         return direct_clique_certificate(g, range(n)), (full, frozenset())
-    five = find_induced(g, pattern("C5"))
+    five = find_induced_embedding(g, pattern("C5"))
     if five is not None:
+        if n == 5:
+            return _cycle_k3(g, five), None
         raise ClaimViolation(
             "an induced 5-cycle inside a larger graph forces the forbidden "
             "K4-minus-an-edge", graph=g, context={"cycle": sorted(five)})

@@ -157,10 +157,6 @@ class Graph:
             adj.append(row)
         return Graph(len(kept), tuple(adj)), remap
 
-    def delete_vertices(self, drop: Iterable[int]) -> tuple["Graph", dict[int, int]]:
-        gone = set(drop)
-        return self.induced_subgraph(v for v in range(self.n) if v not in gone)
-
     # -- canonical serialization --------------------------------------------
 
     def to_json(self) -> str:

@@ -40,9 +40,12 @@ def _reachable(u: int, v: int, bmask: int, free: list[int]) -> bool:
     return False
 
 
-def brute_force_immersion(g: Graph, t: int,
-                          budget: OracleBudget | None = None) -> ImmersionCertificate | None:
-    """Find a K_t immersion certificate, or prove there is none.
+def brute_force_immersion(g: Graph, t: int, budget: OracleBudget | None = None,
+                          within: int | None = None) -> ImmersionCertificate | None:
+    """Find a K_t immersion certificate, or prove there is none, in the
+    subgraph induced on the vertices of the mask ``within`` (host ids;
+    default all).  The certificate is over g; the budget's ``max_n`` counts
+    the vertices of ``within``.
 
     Branch sets are enumerated lexicographically over vertices of degree at
     least t-1 (every branch vertex needs t-1 edge-disjoint escapes).  For a
@@ -53,16 +56,18 @@ def brute_force_immersion(g: Graph, t: int,
     simple paths with non-branch interiors and unused edges.
     """
     budget = budget or OracleBudget()
-    if g.n > budget.max_n:
-        raise PreconditionError(f"oracle limited to n <= {budget.max_n}, got {g.n}")
+    within = g.vertex_mask if within is None else within
+    n = within.bit_count()
+    if n > budget.max_n:
+        raise PreconditionError(f"oracle limited to n <= {budget.max_n}, got {n}")
     if t > budget.max_t:
         raise PreconditionError(f"oracle limited to t <= {budget.max_t}, got {t}")
     if t < 0:
         raise ValueError(f"negative clique order {t}")
     if t <= 1:
-        if g.n < t:
+        if n < t:
             return None
-        return ImmersionCertificate(g.sha256(), tuple(range(t)), {})
+        return ImmersionCertificate(g.sha256(), tuple(bits(within))[:t], {})
 
     nodes = 0
 
@@ -73,11 +78,13 @@ def brute_force_immersion(g: Graph, t: int,
             raise BudgetExceeded(
                 f"immersion search for t={t} exceeded {budget.max_nodes} nodes")
 
-    candidates = [v for v in range(g.n) if g.degree(v) >= t - 1]
+    # adj[v]: v's neighbours inside ``within``; empty for v outside it.
+    adj = [row & within if within >> v & 1 else 0 for v, row in enumerate(g.adj)]
+    candidates = [v for v in bits(within) if adj[v].bit_count() >= t - 1]
     if len(candidates) < t:
         return None
     for branch in combinations(candidates, t):
-        cert = _with_branch(g, branch, tick)
+        cert = _with_branch(g, adj, branch, tick)
         if cert is not None:
             verdict = verify_certificate(g, cert)
             if not verdict.ok:
@@ -86,19 +93,20 @@ def brute_force_immersion(g: Graph, t: int,
     return None
 
 
-def _with_branch(g: Graph, branch: tuple[int, ...], tick) -> ImmersionCertificate | None:
+def _with_branch(g: Graph, adj: list[int], branch: tuple[int, ...], tick
+                 ) -> ImmersionCertificate | None:
     bmask = mask_of(branch)
     paths: dict[Pair, Walk] = {}
-    free = list(g.adj)  # free[x]: neighbours of x over edges no path uses yet
+    free = list(adj)  # free[x]: neighbours of x over edges no path uses yet
     todo: list[Pair] = []
     for u, v in combinations(branch, 2):
-        if g.has_edge(u, v):
+        if adj[u] >> v & 1:
             paths[(u, v)] = (u, v)
             free[u] ^= 1 << v
             free[v] ^= 1 << u
         else:
             todo.append((u, v))
-    todo.sort(key=lambda p: ((g.adj[p[0]] & g.adj[p[1]] & ~bmask).bit_count(), p))
+    todo.sort(key=lambda p: ((adj[p[0]] & adj[p[1]] & ~bmask).bit_count(), p))
 
     def solve(i: int) -> bool:
         if i == len(todo):

@@ -12,6 +12,8 @@ the large fixtures on which the peeling routes take many steps.
 and sets of vertices, the referee for every verdict, reason and detail of
 ``verify_certificate``; ``ref_edges`` / ``ref_to_json`` / ``ref_to_text``
 walk the adjacency one bit at a time, the referees for the canonical bytes.
+``ref_masked_immersion`` solves a copy of the masked subgraph and relabels
+the answer back, the referee for the oracle's ``within`` mask.
 """
 
 from __future__ import annotations
@@ -259,6 +261,22 @@ def ref_max_immersion_order(g: Graph, budget) -> tuple[int, ImmersionCertificate
             break
         best = (t, cert)
     return best
+
+
+def ref_masked_immersion(g: Graph, t: int, within: int):
+    """``brute_force_immersion`` on the subgraph induced on ``within``, copied
+    with ``induced_subgraph`` and solved there, its answer relabelled into
+    g's ids; None when the copy has no K_t immersion."""
+    sub, remap = g.induced_subgraph(bits(within))
+    cert = brute_force_immersion(sub, t)
+    if cert is None:
+        return None
+    back = {new: old for old, new in remap.items()}
+    paths = {}
+    for (u, v), walk in cert.paths.items():
+        walk = tuple(back[x] for x in walk)
+        paths[edge_key(back[u], back[v])] = walk if back[u] < back[v] else walk[::-1]
+    return ImmersionCertificate(g.sha256(), tuple(sorted(back[v] for v in cert.branch)), paths)
 
 
 @st.composite

@@ -1,4 +1,4 @@
-"""Certificates: verification verdicts, canonical JSON, and the combinators."""
+"""Certificates: verification verdicts, canonical JSON, and trimming."""
 
 from __future__ import annotations
 
@@ -14,8 +14,6 @@ from immlab.certificates import (
     certificate_from_json,
     certificate_to_json,
     direct_clique_certificate,
-    extend_with_universal,
-    lift_certificate,
     ordered_pair,
     trim_certificate,
     verify_certificate,
@@ -26,7 +24,6 @@ from immlab.graphs import (
     complete_graph,
     cycle_graph,
     empty_graph,
-    join,
     path_graph,
 )
 from immlab.inflation import inflate, inflate_cycle, inflate_path
@@ -184,28 +181,6 @@ def test_trim_keeps_lowest_branch_vertices():
     assert trim_certificate(cert, 6) == cert
     with pytest.raises(ValueError):
         trim_certificate(cert, 7)
-
-
-def test_extend_with_universal():
-    core = cycle_graph(5)
-    g = join(core, complete_graph(2))  # vertices 5, 6 universal
-    base = brute_force_immersion(core, 3)
-    lifted = lift_certificate(base, {i: i for i in range(5)}, g)
-    cert = extend_with_universal(g, lifted, [5, 6])
-    assert cert.order == 5
-    assert verify_certificate(g, cert).ok
-    with pytest.raises(ValueError):
-        extend_with_universal(g, lifted, [4])  # not universal
-
-
-def test_lift_certificate_relabels():
-    g = cycle_graph(5)
-    cert = brute_force_immersion(g, 3)
-    perm = {0: 3, 1: 0, 2: 4, 3: 1, 4: 2}
-    h = Graph.from_edges(5, [(perm[u], perm[v]) for u, v in g.edges()])
-    lifted = lift_certificate(cert, perm, h)
-    assert verify_certificate(h, lifted).ok
-    assert lifted.branch == tuple(sorted(perm[v] for v in cert.branch))
 
 
 def test_ordered_pair():

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import hashlib
 import sys
-from itertools import combinations
+from functools import partial
+from itertools import combinations, permutations
 
 import pytest
 
@@ -14,7 +15,6 @@ from immlab.certificates import (
     ImmersionCertificate,
     certificate_to_json,
     direct_clique_certificate,
-    lift_certificate,
     verify_certificate,
 )
 from immlab.construct import (
@@ -47,6 +47,7 @@ from immlab.graphs import (
     complete_graph,
     cycle_graph,
     join,
+    mask_of,
     path_graph,
     pattern,
 )
@@ -64,10 +65,8 @@ def checked(g, cert, order):
 
 
 def subcert_on_clique_rest(g, removed):
-    """Direct clique certificate of g minus `removed`, lifted back into g."""
-    sub, remap = g.delete_vertices(removed)
-    back = {new: old for old, new in remap.items()}
-    return lift_certificate(direct_clique_certificate(sub, range(sub.n)), back, g)
+    """Direct clique certificate of g minus `removed`, in g's ids."""
+    return direct_clique_certificate(g, [v for v in range(g.n) if v not in removed])
 
 
 def test_half_ceil():
@@ -107,6 +106,32 @@ def test_hole_free_empty_graph():
     assert hole_free_immersion(g).order == 0
 
 
+@pytest.mark.parametrize("host", [
+    *(partial(forbholes_family, 3, s) for s in range(3)),
+    lambda: (join(inflate(cycle_graph(5), (40,) * 5)[0], complete_graph(56)), {"chi": 156}),
+], ids=["forbholes-3-0", "forbholes-3-1", "forbholes-3-2", "c5k40-k56"])
+def test_hole_free_route_scans_for_holes_once(monkeypatch, host):
+    """One scan over [4, 2*alpha+1] both checks the precondition and finds
+    the hole to build around."""
+    g, info = host()
+    counts = count_calls(monkeypatch, construct, "find_hole_in_range")
+    checked(g, hole_free_immersion(g), info["chi"])
+    assert counts["find_hole_in_range"] == 1
+
+
+def test_hole_free_rescans_when_the_build_fails(monkeypatch):
+    """The scan over [4, 5] meets the 5-hole (0, 2, 5, 1, 4) first, though
+    the C4 (0, 2, 5, 3) exists: the build around the 5-hole fails, and the
+    rescan of [4, 4] names the C4 as a precondition failure."""
+    g = random_alpha2(6, 65)
+    assert analysis.find_hole_in_range(g, 4, 5) == (0, 2, 5, 1, 4)
+    counts = count_calls(monkeypatch, construct, "find_hole_in_range")
+    with pytest.raises(PreconditionError,
+                       match=r"hole of length 4 inside \[4, 4\]: \(0, 2, 5, 3\)"):
+        hole_free_immersion(g)
+    assert counts["find_hole_in_range"] == 2
+
+
 # -- dominating-cycle extensions -----------------------------------------------------
 
 
@@ -114,12 +139,10 @@ def test_c4_extension_fan_route_on_planted_families():
     for seed in range(10):
         n = 10 + seed % 5
         g, planted = dominating_c4_family(n, seed)
-        sub, remap = g.delete_vertices(planted)
-        back = {new: old for old, new in remap.items()}
-        inner = brute_force_immersion(sub, half_ceil(sub.n), OracleBudget(max_t=9))
+        inner = brute_force_immersion(g, half_ceil(n - 4), OracleBudget(max_t=9),
+                                      within=g.vertex_mask & ~mask_of(planted))
         assert inner is not None
-        lifted = lift_certificate(inner, back, g)
-        cert = extend_over_dominating_c4(g, planted, lifted)
+        cert = extend_over_dominating_c4(g, planted, inner)
         checked(g, cert, half_ceil(n))
 
 
@@ -169,10 +192,8 @@ def test_c4_extension_rejects_vertex_missing_two_cycle_vertices():
 
 def test_c4_extension_validates_cycle_and_subcert():
     g, planted = dominating_c4_family(10, 0)
-    sub_g, remap = g.delete_vertices(planted)
-    back = {new: old for old, new in remap.items()}
-    inner = brute_force_immersion(sub_g, half_ceil(sub_g.n), OracleBudget(max_t=9))
-    sub = lift_certificate(inner, back, g)
+    sub = brute_force_immersion(g, half_ceil(g.n - 4), OracleBudget(max_t=9),
+                                within=g.vertex_mask & ~mask_of(planted))
     scrambled = (planted[0], planted[2], planted[1], planted[3])
     with pytest.raises(PreconditionError):
         extend_over_dominating_c4(g, scrambled, sub)  # diagonal, not cyclic
@@ -207,9 +228,8 @@ def test_extensions_check_the_subcert(extend, family, n):
         sub = ImmersionCertificate(host_hash, tuple(sorted(branch)), {})
         with pytest.raises(PreconditionError, match=message):
             extend(g, planted, sub)
-    sub_g, remap = g.delete_vertices(planted[:4])
-    back = {new: old for old, new in remap.items()}
-    subcert = lift_certificate(brute_force_immersion(sub_g, need, OracleBudget(max_t=9)), back, g)
+    subcert = brute_force_immersion(g, need, OracleBudget(max_t=9),
+                                    within=g.vertex_mask & ~mask_of(planted[:4]))
     paths, branch = dict(subcert.paths), subcert.branch
     cert = checked(g, extend(g, planted, subcert), half_ceil(n))
     assert cert.paths is not subcert.paths
@@ -247,11 +267,10 @@ def test_c5_extension_on_planted_families():
     for seed in range(10):
         n = 11 + seed % 4
         g, planted = dominating_c5_family(n, seed)
-        sub, remap = g.delete_vertices(planted[:4])
-        back = {new: old for old, new in remap.items()}
-        inner = brute_force_immersion(sub, half_ceil(n - 4), OracleBudget(max_t=9))
+        inner = brute_force_immersion(g, half_ceil(n - 4), OracleBudget(max_t=9),
+                                      within=g.vertex_mask & ~mask_of(planted[:4]))
         assert inner is not None
-        cert = extend_over_dominating_c5(g, planted, lift_certificate(inner, back, g))
+        cert = extend_over_dominating_c5(g, planted, inner)
         checked(g, cert, half_ceil(n))
 
 
@@ -259,11 +278,10 @@ def test_p4_extension_on_planted_families():
     for seed in range(10):
         n = 10 + seed % 5
         g, planted = dominating_p4_family(n, seed)
-        sub, remap = g.delete_vertices(planted)
-        back = {new: old for old, new in remap.items()}
-        inner = brute_force_immersion(sub, half_ceil(sub.n), OracleBudget(max_t=9))
+        inner = brute_force_immersion(g, half_ceil(n - 4), OracleBudget(max_t=9),
+                                      within=g.vertex_mask & ~mask_of(planted))
         assert inner is not None
-        cert = extend_over_dominating_p4(g, planted, lift_certificate(inner, back, g))
+        cert = extend_over_dominating_p4(g, planted, inner)
         checked(g, cert, half_ceil(n))
 
 
@@ -377,6 +395,30 @@ def test_k4minus_plain_5_cycle_has_no_partition():
     assert parts is None
     assert cert.branch == (0, 1, 2)
     checked(cycle_graph(5), cert, 3)
+
+
+def test_k4minus_5_cycle_keeps_the_hole_scans_cyclic_order():
+    """On every labelled 5-cycle the induced-C5 search lists the cycle in the
+    order the hole scan does, so the K3 riding it is the same certificate."""
+    for perm in permutations(range(5)):
+        g = Graph.from_edges(5, [(perm[i], perm[(i + 1) % 5]) for i in range(5)])
+        cert, parts = k4minus_free_clique(g)
+        assert parts is None
+        assert cert == construct._cycle_k3(g, analysis.find_hole_in_range(g, 4, 5))
+
+
+@pytest.mark.parametrize("host, searches", [
+    (lambda: cycle_graph(5), 1),
+    (lambda: complete_graph(5), 0),
+    (lambda: random_hfree_alpha2("K4minus", 9, 9), 1),
+], ids=["C5", "K5", "random-9"])
+def test_k4minus_build_asks_for_an_induced_c5_once(monkeypatch, host, searches):
+    g = host()
+    counts = count_calls(monkeypatch, construct, "find_induced_embedding",
+                         "find_hole_in_range")
+    construct._k4minus_build(g)
+    assert counts["find_induced_embedding"] == searches
+    assert counts["find_hole_in_range"] == 0
 
 
 def test_k4minus_complete_graph():

@@ -7,11 +7,21 @@ import pytest
 from immlab import oracle
 from immlab.certificates import certificate_to_json, verify_certificate
 from immlab.errors import BudgetExceeded, PreconditionError
-from immlab.gen import random_alpha2
-from immlab.graphs import Graph, complete_graph, cycle_graph, empty_graph
+from immlab.gen import (
+    dominating_c4_family,
+    dominating_c5_family,
+    dominating_p4_family,
+    random_alpha2,
+)
+from immlab.graphs import Graph, complete_graph, cycle_graph, empty_graph, mask_of
 from immlab.oracle import OracleBudget, brute_force_immersion, max_immersion_order
 
-from conftest import count_calls, ref_find_immersion, ref_max_immersion_order
+from conftest import (
+    count_calls,
+    ref_find_immersion,
+    ref_masked_immersion,
+    ref_max_immersion_order,
+)
 
 
 def test_c5_has_k3_but_not_k4():
@@ -46,6 +56,9 @@ def test_trivial_orders():
     assert zero is not None and zero.order == 0
     assert one is not None and one.order == 1
     assert verify_certificate(g, zero).ok and verify_certificate(g, one).ok
+    assert brute_force_immersion(g, 1, within=0b1100).branch == (2,)
+    assert brute_force_immersion(g, 0, within=0).branch == ()
+    assert brute_force_immersion(g, 1, within=0) is None
 
 
 def test_budget_preconditions():
@@ -54,6 +67,38 @@ def test_budget_preconditions():
         brute_force_immersion(g, 3, OracleBudget(max_n=5))
     with pytest.raises(PreconditionError):
         brute_force_immersion(g, 7, OracleBudget(max_t=6))
+
+
+def test_size_gate_counts_the_masked_vertices():
+    """On a host of n = 14 the n <= 10 gate counts the vertices of ``within``."""
+    g = cycle_graph(14).complement()
+    cert = brute_force_immersion(g, 4, within=(1 << 10) - 1)
+    assert cert is not None and verify_certificate(g, cert).ok
+    assert cert == ref_masked_immersion(g, 4, (1 << 10) - 1)
+    with pytest.raises(PreconditionError, match="n <= 10, got 11"):
+        brute_force_immersion(g, 4, within=(1 << 11) - 1)
+    with pytest.raises(PreconditionError, match="n <= 10, got 14"):
+        brute_force_immersion(g, 4)
+
+
+@pytest.mark.parametrize("family", [dominating_c4_family, dominating_c5_family,
+                                    dominating_p4_family], ids=["c4", "c5", "p4"])
+def test_masked_search_matches_the_copy_solve_relabel_referee(family):
+    """Searching g inside the mask of the vertices the extension steps keep
+    gives the very certificate the copy of that subgraph gives, relabelled:
+    the same branch set, the same walks, the same bytes."""
+    for seed in range(30):
+        n = 6 + seed % 9  # 6..14
+        g, planted = family(n, seed)
+        within = g.vertex_mask & ~mask_of(planted[:4])
+        need = (n - 3) // 2  # ceil((n - 4) / 2), the order the steps extend
+        for t in range(need, min(need + 3, 7)):
+            want = ref_masked_immersion(g, t, within)
+            cert = brute_force_immersion(g, t, within=within)
+            assert cert == want, (n, seed, t)
+            if cert is not None:
+                assert certificate_to_json(cert) == certificate_to_json(want)
+                assert set(cert.branch) <= set(range(n)) - set(planted[:4])
 
 
 def test_budget_node_limit_raises():

@@ -217,28 +217,27 @@ def _colour(g: Graph, alpha: int, omega: int, clique: frozenset[int]
 # -- induced-subgraph search ---------------------------------------------------
 
 
-def find_induced_embedding(g: Graph, h: Graph) -> tuple[int, ...] | None:
-    """First (in DFS order over ascending host ids) induced embedding of h.
+def find_induced_embedding(g: Graph, h: Graph, within: int | None = None
+                           ) -> tuple[int, ...] | None:
+    """First (in DFS order over ascending host ids) induced embedding of h
+    among the vertices of the mask ``within`` (host ids; default all).
 
     Returns a tuple phi with phi[i] = host vertex playing h-vertex i, such
     that g.has_edge(phi[i], phi[j]) iff h.has_edge(i, j).  Candidates are
     narrowed with bitmasks: degree-based pruning is unsound for *induced*
-    embeddings, so only exact prefix compatibility is used.
+    embeddings, so only exact prefix compatibility is used.  The 5-vertex
+    gate counts the vertices of ``within``.
     """
+    within = g.vertex_mask if within is None else within
+    n = within.bit_count()
     if h.n == 0:
         return ()
-    if h.n >= 5 and g.n > MAX_HOST_5PATTERN:
+    if h.n >= 5 and n > MAX_HOST_5PATTERN:
         raise PreconditionError(
             f"induced search for {h.n}-vertex patterns limited to hosts with "
-            f"n <= {MAX_HOST_5PATTERN}, got {g.n}")
-    if g.n < h.n:
+            f"n <= {MAX_HOST_5PATTERN}, got {n}")
+    if n < h.n:
         return None
-    return _induced_embedding(g, h, g.vertex_mask)
-
-
-def _induced_embedding(g: Graph, h: Graph, within: int) -> tuple[int, ...] | None:
-    """``find_induced_embedding``, ungated, in the subgraph induced on the
-    vertices of the mask ``within`` (host ids)."""
     phi: list[int] = []
 
     def extend(cands: list[int]) -> tuple[int, ...] | None:

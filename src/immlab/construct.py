@@ -26,7 +26,9 @@ The routines and their guarantees:
 Each public route and each public extension step checks its preconditions
 once, then calls a private builder (``_extend_c4`` and ``_extend_articulated``
 for the steps, which grow the checked sub-certificate's path dict in place);
-callers that have proved a builder's precondition call it directly.
+callers that have proved a builder's precondition call it directly.  The
+C4 route's builder, ``_hole_free`` at alpha = 2, is its own C4 test: its
+hole scan finds any induced C4.
 
 Every builder works on the input graph and a mask ``live`` of the vertices
 it builds over, in the input's own ids: no route copies a subgraph, hashes a
@@ -46,7 +48,6 @@ from typing import Callable
 
 from . import inflation
 from .analysis import (
-    _induced_embedding,
     chordal_peo,
     find_hole_in_range,
     find_induced,
@@ -232,9 +233,18 @@ def hole_free_immersion(g: Graph) -> ImmersionCertificate:
     universal vertices join as direct branch vertices -- total order
     chi(inflation) + #universals = chi(g).
     """
+    alpha = 2 if independent_triple(g) is None else independence_number(g)[0]
+    return _hole_free(g, alpha)
+
+
+def _hole_free(g: Graph, alpha: int) -> ImmersionCertificate:
+    """The check-and-build of ``hole_free_immersion`` on g of independence at
+    most ``alpha``: the build's one scan is the precondition test, so at
+    alpha = 2 this is also the C4 route, and only an induced C4 makes it
+    raise ``PreconditionError``.  A complete graph is taken directly, where
+    the scan would be cubic."""
     if g.is_clique(g.vertex_mask):
         return direct_clique_certificate(g, range(g.n))
-    alpha = 2 if independent_triple(g) is None else independence_number(g)[0]
     try:
         return _hole_free_build(g, alpha, g.vertex_mask)
     except ClaimViolation:
@@ -636,7 +646,7 @@ _owh_free_inner = partial(_peel, p4_steps=True)
 def _c4_step(g: Graph, live: int) -> tuple[tuple[int, ...], partial] | None:
     """An induced C4 of the live set and its extension; house-freeness makes
     it dominate.  None when the live set has no induced C4."""
-    cycle = _induced_embedding(g, pattern("C4"), live)
+    cycle = find_induced_embedding(g, pattern("C4"), live)
     if cycle is None:
         return None
     fmask = mask_of(cycle)
@@ -656,7 +666,7 @@ def _c4_step(g: Graph, live: int) -> tuple[tuple[int, ...], partial] | None:
 def _p4_step(g: Graph, live: int) -> tuple[tuple[int, ...], partial] | None:
     """An induced P4 of the live set and its extension; owh-freeness makes
     it dominate, or close a dominating C5.  None when there is no induced P4."""
-    a = _induced_embedding(g, pattern("P4"), live)
+    a = find_induced_embedding(g, pattern("P4"), live)
     if a is None:
         return None
     hit = _undominated(g, live, a, [(a[0], a[1]), (a[2], a[3])])
@@ -761,9 +771,6 @@ def _k4_on_seven(g: Graph) -> ImmersionCertificate:
                                 continue
                             if g.has_edge(c3, c4):
                                 route = [b2, c4, c3, b1, m1]
-                            elif g.has_edge(c4, m1):
-                                route = [b2, c4, m1]
-                            if route is not None:
                                 break
                     if route is None:
                         continue
@@ -795,7 +802,7 @@ def k4minus_free_clique(g: Graph) -> tuple[ImmersionCertificate, TwoCliques | No
 
 def _k4minus_build(g: Graph) -> tuple[ImmersionCertificate, TwoCliques | None]:
     n = g.n
-    if all(g.degree(v) == n - 1 for v in range(n)):
+    if g.is_clique(g.vertex_mask):
         full = frozenset(range(n))
         return direct_clique_certificate(g, range(n)), (full, frozenset())
     five = find_induced_embedding(g, pattern("C5"))
@@ -813,18 +820,15 @@ def _k4minus_build(g: Graph) -> tuple[ImmersionCertificate, TwoCliques | None]:
         part1 = frozenset(bits(nx)) | {x}
         part2 = frozenset(bits(nbar))
     else:
-        comps = _components_within(g, nx)
-        if len(comps) != 2:
+        # The lowest neighbour's closed neighbourhood cuts N(x) in two.
+        low = nx & -nx
+        ca = nx & (g.adj[low.bit_length() - 1] | low)
+        cb = nx & ~ca
+        if not (g.is_clique(ca) and g.is_clique(cb)) or any(g.adj[v] & cb for v in bits(ca)):
             raise ClaimViolation(
-                "a non-clique neighbourhood must split into exactly two cliques",
-                graph=g, context={"vertex": x, "components": len(comps)})
-        for comp in comps:
-            if not g.is_clique(comp):
-                raise ClaimViolation(
-                    "neighbourhood component is not a clique (forces the "
-                    "forbidden pattern)", graph=g,
-                    context={"vertex": x, "component": sorted(bits(comp))})
-        ca, cb = comps
+                "a non-clique neighbourhood must split into two cliques with no "
+                "edge between them (else it forces the forbidden pattern)",
+                graph=g, context={"vertex": x, "split": (sorted(bits(ca)), sorted(bits(cb)))})
         if all(nbar & ~g.adj[v] == 0 for v in bits(ca)):
             part1 = frozenset(bits(ca | nbar))
             part2 = frozenset(bits(cb)) | {x}
@@ -843,34 +847,15 @@ def _k4minus_build(g: Graph) -> tuple[ImmersionCertificate, TwoCliques | None]:
     return direct_clique_certificate(g, big), (part1, part2)
 
 
-def _components_within(g: Graph, mask: int) -> list[int]:
-    """Connected components of the subgraph induced on ``mask``, as masks,
-    ordered by smallest member."""
-    comps = []
-    left = mask
-    while left:
-        start = (left & -left).bit_length() - 1
-        comp = 1 << start
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                fresh = g.adj[v] & mask & ~comp
-                comp |= fresh
-                nxt.extend(bits(fresh))
-            frontier = nxt
-        comps.append(comp)
-        left &= ~comp
-    return comps
-
-
 # -- one excluded 4-vertex pattern: the ceil(n/2) bound --------------------------------------
 
 
 #: The builder for each excluded 4-vertex pattern; it assumes independence
-#: <= 2 and the pattern's absence, which its caller has checked.
+#: <= 2, which its caller has checked, and the pattern's absence, which its
+#: caller has checked too except for C4: the hole-free route's own scan tests
+#: that, and raises ``PreconditionError`` on an induced C4.
 _PATTERN_BUILDERS: dict[str, Callable[[Graph], ImmersionCertificate]] = {
-    "C4": lambda g: _hole_free_build(g, 2, g.vertex_mask),
+    "C4": partial(_hole_free, alpha=2),
     "P4": _house_free_inner,
     "paw": _house_free_inner,
     "twoK2": _owh_free_inner,
@@ -894,7 +879,8 @@ def pattern_free_immersion(g: Graph, pattern_name: str) -> ImmersionCertificate:
         raise ValueError(
             f"pattern must be one of {FOUR_VERTEX_PATTERNS}, got {pattern_name!r}")
     _require_alpha_at_most_two(g)
-    _require_pattern_free(g, pattern_name)
+    if pattern_name != "C4":
+        _require_pattern_free(g, pattern_name)
     return _pattern_free_build(g, pattern_name)
 
 
@@ -913,10 +899,15 @@ def auto_immersion(g: Graph) -> tuple[str, ImmersionCertificate]:
 
     Returns (method token, certificate); the token names the route that
     applied, e.g. ``vergara:C4`` or ``oracle``.  Independence <= 2 is checked
-    once, and the first absent pattern's builder runs without re-checking.
+    once.  The C4 route runs first, its hole scan being its own C4 test;
+    then the first absent pattern's builder runs without re-checking.
     """
     _require_alpha_at_most_two(g)
-    for name in FOUR_VERTEX_PATTERNS:
+    try:
+        return "vergara:C4", _pattern_free_build(g, "C4")
+    except PreconditionError:
+        pass  # at independence <= 2, only an induced C4 raises this
+    for name in FOUR_VERTEX_PATTERNS[1:]:
         if find_induced(g, pattern(name)) is None:
             return f"vergara:{name}", _pattern_free_build(g, name)
     budget = OracleBudget()

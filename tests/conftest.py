@@ -13,7 +13,10 @@ and sets of vertices, the referee for every verdict, reason and detail of
 ``verify_certificate``; ``ref_edges`` / ``ref_to_json`` / ``ref_to_text``
 walk the adjacency one bit at a time, the referees for the canonical bytes.
 ``ref_masked_immersion`` solves a copy of the masked subgraph and relabels
-the answer back, the referee for the oracle's ``within`` mask.
+the answer back, the referee for the oracle's ``within`` mask;
+``ref_masked_embedding`` does the same for the induced search's.
+``ref_auto_token`` restates ``auto_immersion``'s choice of route: the first
+4-vertex pattern that ``find_induced`` reports absent, else the oracle.
 """
 
 from __future__ import annotations
@@ -25,8 +28,9 @@ from itertools import combinations, permutations
 
 import hypothesis.strategies as st
 
+from immlab.analysis import find_induced, find_induced_embedding
 from immlab.certificates import ImmersionCertificate, Verdict
-from immlab.graphs import GRAPH_FORMAT, Graph, bits, join
+from immlab.graphs import FOUR_VERTEX_PATTERNS, GRAPH_FORMAT, Graph, bits, join, pattern
 from immlab.oracle import brute_force_immersion
 
 
@@ -277,6 +281,26 @@ def ref_masked_immersion(g: Graph, t: int, within: int):
         walk = tuple(back[x] for x in walk)
         paths[edge_key(back[u], back[v])] = walk if back[u] < back[v] else walk[::-1]
     return ImmersionCertificate(g.sha256(), tuple(sorted(back[v] for v in cert.branch)), paths)
+
+
+def ref_masked_embedding(g: Graph, h: Graph, within: int):
+    """``find_induced_embedding`` of h in the subgraph induced on ``within``,
+    copied with ``induced_subgraph`` and searched there, its answer mapped
+    back into g's ids; None when the copy has no induced h."""
+    sub, remap = g.induced_subgraph(bits(within))
+    emb = find_induced_embedding(sub, h)
+    if emb is None:
+        return None
+    back = {new: old for old, new in remap.items()}
+    return tuple(back[v] for v in emb)
+
+
+def ref_auto_token(g: Graph) -> str:
+    """The route ``auto_immersion`` should pick on an independence <= 2 graph."""
+    for name in FOUR_VERTEX_PATTERNS:
+        if find_induced(g, pattern(name)) is None:
+            return f"vergara:{name}"
+    return "oracle"
 
 
 @st.composite

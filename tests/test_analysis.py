@@ -18,6 +18,7 @@ from immlab.analysis import (
     max_clique,
     peo_max_clique,
 )
+from immlab.errors import PreconditionError
 from immlab.graphs import (
     FOUR_VERTEX_PATTERNS,
     Graph,
@@ -37,6 +38,7 @@ from conftest import (
     ref_has_independent_triple,
     ref_independence_number,
     ref_is_induced,
+    ref_masked_embedding,
     ref_max_clique_size,
 )
 
@@ -187,6 +189,31 @@ def test_house_contains_p4_and_paw():
 def test_find_induced_agrees_with_enumeration(g, name):
     pat = pattern(name)
     assert (find_induced(g, pat) is not None) == ref_is_induced(g, pat)
+
+
+@given(graphs(max_n=10), st.data())
+@settings(max_examples=120)
+def test_masked_induced_search_matches_the_copied_subgraph(g, data):
+    """Searching inside a mask gives the copy's first embedding in host ids:
+    the copy's ids keep the host's order, so both DFS orders agree."""
+    within = data.draw(st.integers(0, g.vertex_mask))
+    for name in FOUR_VERTEX_PATTERNS + ("C5",):
+        pat = pattern(name)
+        assert find_induced_embedding(g, pat, within) == ref_masked_embedding(g, pat, within)
+
+
+def test_masked_induced_search_gates_on_the_searched_vertices():
+    """The 5-vertex gate counts the vertices of the mask, not the host's."""
+    g = join(cycle_graph(5), complete_graph(595))
+    assert g.n == 600
+    live = mask_of(range(10))
+    assert find_induced_embedding(g, pattern("C5"), live) == (0, 1, 2, 3, 4)
+    assert find_induced_embedding(g, pattern("C5"), live) == ref_masked_embedding(
+        g, pattern("C5"), live)
+    with pytest.raises(PreconditionError, match="got 513"):
+        find_induced_embedding(g, pattern("C5"), mask_of(range(513)))
+    with pytest.raises(PreconditionError, match="got 600"):
+        find_induced_embedding(g, pattern("C5"))
 
 
 def test_find_hole_in_range_on_cycles():

@@ -8,6 +8,7 @@ from functools import partial
 from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from immlab import analysis, construct
 from immlab.analysis import find_induced, independence_number, max_clique
@@ -54,7 +55,7 @@ from immlab.graphs import (
 from immlab.inflation import cycle_inflation_chromatic, inflate, inflate_cycle
 from immlab.oracle import OracleBudget, brute_force_immersion
 
-from conftest import complement_join, count_calls, p4_free_join
+from conftest import complement_join, count_calls, p4_free_join, ref_auto_token
 
 
 def checked(g, cert, order):
@@ -526,6 +527,51 @@ def test_auto_immersion_falls_back_to_oracle():
     assert verify_certificate(g, cert).ok
 
 
+def assert_auto_token(g):
+    want = ref_auto_token(g)
+    if want == "oracle" and g.n > OracleBudget().max_n:
+        with pytest.raises(PreconditionError, match="every 4-vertex pattern occurs"):
+            auto_immersion(g)
+    else:
+        assert auto_immersion(g)[0] == want
+
+
+@given(st.integers(1, 12), st.integers(0, 2**32))
+@settings(max_examples=80, deadline=None)
+def test_auto_token_is_the_first_absent_pattern(n, seed):
+    """The C4 route's own hole scan picks the same route as asking
+    ``find_induced`` for each pattern in turn."""
+    assert_auto_token(random_alpha2(n, seed))
+
+
+@given(st.integers(1, 4), st.integers(0, 4))
+@settings(max_examples=20, deadline=None)
+def test_auto_token_on_c5_inflation_joins(b, u):
+    assert_auto_token(join(inflate(cycle_graph(5), (b,) * 5)[0], complete_graph(u)))
+
+
+def test_c4_route_names_the_hole_and_auto_moves_on():
+    """The [4, 5] scan meets the 5-hole before the C4: the build fails, the
+    rescan names the C4, and ``auto`` takes the next absent pattern."""
+    g = random_alpha2(6, 65)
+    with pytest.raises(PreconditionError,
+                       match=r"hole of length 4 inside \[4, 4\]: \(0, 2, 5, 3\)"):
+        pattern_free_immersion(g, "C4")
+    token, cert = auto_immersion(g)
+    assert token == "vergara:twoK2"
+    checked(g, cert, 3)
+
+
+def test_c4_route_takes_a_complete_graph_without_a_hole_scan(monkeypatch):
+    g = complete_graph(40)
+    counts = count_calls(monkeypatch, construct, "find_hole_in_range")
+    token, cert = auto_immersion(g)
+    assert token == "vergara:C4"
+    checked(g, cert, 20)
+    checked(g, pattern_free_immersion(g, "C4"), 20)
+    assert counts["find_hole_in_range"] == 0
+
+
 def test_auto_immersion_large_all_patterns_is_out_of_reach():
     base = random_alpha2(8, 1)
     g = join(base, complete_graph(4))  # n = 12 keeps all patterns, alpha 2
@@ -537,13 +583,13 @@ def test_auto_immersion_large_all_patterns_is_out_of_reach():
 
 
 def count_precondition_calls(monkeypatch):
-    """Counting wrappers on the searches construct imports (the peeling
-    routes' induced search is ``_induced_embedding``); the public induced
-    search is wrapped in analysis, where ``find_induced`` calls it."""
+    """Counting wrappers on the searches construct imports (the routes'
+    own induced searches call ``find_induced_embedding`` there); the same
+    search is wrapped in analysis too, where ``find_induced`` calls it."""
     log = []
     for module, name in ((construct, "independent_triple"),
                          (construct, "find_hole_in_range"),
-                         (construct, "_induced_embedding"),
+                         (construct, "find_induced_embedding"),
                          (analysis, "find_induced_embedding")):
         def counting(*args, _name=name, _real=getattr(module, name)):
             log.append((_name, args))
@@ -557,15 +603,26 @@ def calls_of(log, name, *tail):
 
 
 def test_auto_asks_each_precondition_once(monkeypatch):
+    """The C4 route's hole scan over [4, 5] is its only C4 test."""
     g = join(inflate(cycle_graph(5), (3,) * 5)[0], complete_graph(2))
     log = count_precondition_calls(monkeypatch)
     token, cert = auto_immersion(g)
     assert token == "vergara:C4"
     checked(g, cert, half_ceil(g.n))
     assert calls_of(log, "independent_triple") == 1
-    assert calls_of(log, "find_induced_embedding", pattern("C4")) == 1
-    assert not [args for name, args in log if name == "_induced_embedding"]
+    assert calls_of(log, "find_induced_embedding", pattern("C4")) == 0
+    assert calls_of(log, "find_hole_in_range", 4, 5, g.vertex_mask) == 1
     assert calls_of(log, "find_hole_in_range", 4, 4) == 0
+
+
+def test_c4_route_runs_no_induced_c4_search(monkeypatch):
+    """``vergara:C4`` asks for an induced C4 only through its hole scan."""
+    g = join(inflate(cycle_graph(5), (3,) * 5)[0], complete_graph(2))
+    log = count_precondition_calls(monkeypatch)
+    checked(g, pattern_free_immersion(g, "C4"), half_ceil(g.n))
+    assert calls_of(log, "independent_triple") == 1
+    assert not [args for name, args in log if name == "find_induced_embedding"]
+    assert calls_of(log, "find_hole_in_range", 4, 5, g.vertex_mask) == 1
 
 
 def test_k4minus_route_asks_each_precondition_once(monkeypatch):

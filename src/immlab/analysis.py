@@ -217,6 +217,44 @@ def _colour(g: Graph, alpha: int, omega: int, clique: frozenset[int]
 # -- induced-subgraph search ---------------------------------------------------
 
 
+def _twin_prefix(g: Graph, within: int, t: int) -> int:
+    """``within`` less all but the t lowest ids of each true-twin class of
+    g[within] (vertices whose closed neighbourhoods agree inside ``within``).
+    Kept per t on g, the way ``sha256`` keeps its digest, when ``within`` is
+    every vertex."""
+    whole = within == g.vertex_mask
+    kept = g.__dict__.setdefault("_twin_prefix", {}) if whole else {}
+    mask = kept.get(t)
+    if mask is None:
+        vs = (range(g.n) if whole
+              else [v for v, bit in enumerate(bin(within)[:1:-1]) if bit == "1"])
+        # Rows as bytes: Python hashes an int modulo 2**61 - 1, so rows that
+        # differ in a few far-apart bits collide and a set of them degrades.
+        adj, size = g.adj, (g.n + 7) // 8
+        closed = [((adj[v] | 1 << v) & within).to_bytes(size, "little") for v in vs]
+        mask = within
+        if len(set(closed)) < len(closed):
+            mask = 0
+            taken: dict[bytes, int] = {}
+            for v, row in zip(vs, closed):
+                count = taken.get(row, 0)
+                if count < t:
+                    taken[row] = count + 1
+                    mask |= 1 << v
+        kept[t] = mask
+    return mask
+
+
+def _twin_width(h: Graph) -> int:
+    """Size of h's largest true-twin class, kept on h after the first call."""
+    width = h.__dict__.get("_twin_width")
+    if width is None:
+        closed = [row | 1 << v for v, row in enumerate(h.adj)]
+        width = max(map(closed.count, closed), default=0)
+        object.__setattr__(h, "_twin_width", width)
+    return width
+
+
 def find_induced_embedding(g: Graph, h: Graph, within: int | None = None
                            ) -> tuple[int, ...] | None:
     """First (in DFS order over ascending host ids) induced embedding of h
@@ -227,6 +265,13 @@ def find_induced_embedding(g: Graph, h: Graph, within: int | None = None
     narrowed with bitmasks: degree-based pruning is unsound for *induced*
     embeddings, so only exact prefix compatibility is used.  The 5-vertex
     gate counts the vertices of ``within``.
+
+    The DFS returns the lexicographically least phi, and runs only over the
+    t lowest ids of each true-twin class of g[within], t the size of h's
+    largest true-twin class (1 for C4, P4, C5 and the house).  That loses no
+    answer: swapping a vertex of phi for a lower unused twin gives a smaller
+    embedding, so the least phi takes the lowest members of each class, and
+    the h-vertices it maps into one class are true twins in h.
     """
     within = g.vertex_mask if within is None else within
     n = within.bit_count()
@@ -238,6 +283,7 @@ def find_induced_embedding(g: Graph, h: Graph, within: int | None = None
             f"n <= {MAX_HOST_5PATTERN}, got {n}")
     if n < h.n:
         return None
+    within = _twin_prefix(g, within, _twin_width(h))
     phi: list[int] = []
 
     def extend(cands: list[int]) -> tuple[int, ...] | None:
@@ -283,15 +329,20 @@ def find_hole_in_range(g: Graph, lo: int, hi: int, within: int | None = None
 
     The returned tuple lists the hole in cyclic order starting at its minimum
     vertex.  Search is DFS over induced paths whose start is the path minimum,
-    ascending at every choice point, so the answer is deterministic.
+    ascending at every choice point, so the answer is deterministic: the
+    lexicographically least such sequence.  It runs over the lowest id of
+    each true-twin class of g[within] only.  A hole has no two true twins,
+    and swapping a hole vertex for a lower twin off the hole gives a smaller
+    sequence, so the least hole avoids every other class member.
     """
     if lo < 4:
         raise ValueError(f"holes start at length 4, got lo={lo}")
     if hi < lo:
         raise ValueError(f"empty range [{lo}, {hi}]")
+    within = _twin_prefix(g, g.vertex_mask if within is None else within, 1)
     # A vertex outside ``within`` gets an empty row, so no path starts there.
-    adj = g.adj if within is None else [row & within if within >> v & 1 else 0
-                                        for v, row in enumerate(g.adj)]
+    adj = g.adj if within == g.vertex_mask else [row & within if within >> v & 1 else 0
+                                                 for v, row in enumerate(g.adj)]
 
     def grow(s: int, path: list[int], forbidden: int) -> tuple[int, ...] | None:
         # forbidden: <= s, already used, or adjacent to a non-tip path vertex.

@@ -17,6 +17,9 @@ the answer back, the referee for the oracle's ``within`` mask;
 ``ref_masked_embedding`` does the same for the induced search's.
 ``ref_auto_token`` restates ``auto_immersion``'s choice of route: the first
 4-vertex pattern that ``find_induced`` reports absent, else the oracle.
+``ref_find_induced_embedding`` and ``ref_find_hole_in_range`` are the
+induced-pattern and hole DFSs searching every vertex of the mask, without
+the package's reduction to true-twin class representatives.
 """
 
 from __future__ import annotations
@@ -293,6 +296,68 @@ def ref_masked_embedding(g: Graph, h: Graph, within: int):
         return None
     back = {new: old for old, new in remap.items()}
     return tuple(back[v] for v in emb)
+
+
+def ref_find_induced_embedding(g: Graph, h: Graph, within: int | None = None):
+    """The lexicographically least induced embedding of h among the vertices
+    of ``within``: DFS over ascending host ids, narrowing each later h-vertex's
+    candidates to the exact prefix-compatible ones."""
+    within = g.vertex_mask if within is None else within
+    if h.n == 0:
+        return ()
+    phi: list[int] = []
+
+    def extend(cands: list[int]):
+        i = len(phi)
+        if i == h.n:
+            return tuple(phi)
+        for v in bits(cands[i]):
+            narrowed = list(cands)
+            for j in range(i + 1, h.n):
+                if h.has_edge(i, j):
+                    narrowed[j] &= g.adj[v]
+                else:
+                    narrowed[j] &= within & ~g.adj[v] & ~(1 << v)
+            if not all(narrowed[i + 1:]):
+                continue
+            phi.append(v)
+            got = extend(narrowed)
+            if got is not None:
+                return got
+            phi.pop()
+        return None
+
+    return extend([within] * h.n)
+
+
+def ref_find_hole_in_range(g: Graph, lo: int, hi: int, within: int | None = None):
+    """The lexicographically least hole with length in [lo, hi] among the
+    vertices of ``within``, listed from its minimum: DFS over induced paths
+    that start at their minimum, ascending at every choice point."""
+    adj = g.adj if within is None else [row & within if within >> v & 1 else 0
+                                        for v, row in enumerate(g.adj)]
+
+    def grow(s: int, path: list[int], forbidden: int):
+        tail = path[-1]
+        for v in bits(adj[tail] & ~forbidden):
+            if adj[s] >> v & 1:
+                if len(path) + 1 >= lo:
+                    return tuple(path) + (v,)
+                continue
+            if len(path) + 1 < hi:
+                got = grow(s, path + [v], forbidden | (1 << v) | adj[tail])
+                if got is not None:
+                    return got
+        return None
+
+    below = 0
+    for s in range(g.n):
+        below |= 1 << s
+        for p1 in bits(adj[s] & ~below):
+            got = grow(s, [s, p1], below | (1 << p1))
+            if got is not None:
+                return got
+    return None
 
 
 def ref_auto_token(g: Graph) -> str:

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from immlab.analysis import (
+    _twin_prefix,
+    _twin_width,
     chordal_peo,
     chromatic_number,
     find_hole_in_range,
@@ -18,10 +20,14 @@ from immlab.analysis import (
     max_clique,
     peo_max_clique,
 )
+from immlab.construct import k4minus_free_clique
 from immlab.errors import PreconditionError
+from immlab.gen import random_alpha2
 from immlab.graphs import (
     FOUR_VERTEX_PATTERNS,
+    PATTERN_EDGES,
     Graph,
+    bits,
     complete_graph,
     cycle_graph,
     empty_graph,
@@ -35,6 +41,8 @@ from immlab.inflation import cycle_inflation_chromatic, inflate
 from conftest import (
     graphs,
     ref_chromatic_number,
+    ref_find_hole_in_range,
+    ref_find_induced_embedding,
     ref_has_independent_triple,
     ref_independence_number,
     ref_is_induced,
@@ -214,6 +222,90 @@ def test_masked_induced_search_gates_on_the_searched_vertices():
         find_induced_embedding(g, pattern("C5"), mask_of(range(513)))
     with pytest.raises(PreconditionError, match="got 600"):
         find_induced_embedding(g, pattern("C5"))
+
+
+@st.composite
+def twin_hosts(draw):
+    """A random graph (independence at most 2 or arbitrary) with each vertex
+    blown up into a clique of 1-4 true twins, its ids shuffled, and a random
+    vertex mask or None."""
+    if draw(st.booleans()):
+        base = random_alpha2(draw(st.integers(1, 8)), draw(st.integers(0, 10**6)))
+    else:
+        base = draw(graphs(max_n=7, min_n=1))
+    g, _ = inflate(base, tuple(draw(st.lists(st.integers(1, 4), min_size=base.n,
+                                             max_size=base.n))))
+    perm = draw(st.permutations(range(g.n)))
+    g = Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+    within = draw(st.none() | st.integers(0, g.vertex_mask))
+    return g, within
+
+
+@given(twin_hosts())
+@settings(max_examples=120, deadline=None)
+def test_induced_search_returns_the_referee_witness(host):
+    """Searching twin-class representatives returns exactly the unreduced
+    DFS's embedding, for every catalogue pattern."""
+    g, within = host
+    for name in PATTERN_EDGES:
+        h = pattern(name)
+        assert find_induced_embedding(g, h, within) == ref_find_induced_embedding(g, h, within)
+
+
+@given(twin_hosts())
+@settings(max_examples=120, deadline=None)
+def test_hole_scan_returns_the_referee_hole(host):
+    g, within = host
+    for lo, hi in ((4, 4), (4, 5), (5, 5), (4, 9), (5, 7), (6, 12)):
+        assert find_hole_in_range(g, lo, hi, within) == ref_find_hole_in_range(g, lo, hi, within)
+
+
+def test_twin_widths_of_the_catalogue():
+    widths = {name: _twin_width(pattern(name)) for name in PATTERN_EDGES}
+    assert widths == {"C4": 1, "P4": 1, "C5": 1, "house": 1, "paw": 2, "twoK2": 2,
+                      "K4minus": 2, "owh": 2, "K3v": 3, "K4": 4}
+
+
+@given(twin_hosts(), st.integers(1, 4))
+@settings(max_examples=80, deadline=None)
+def test_twin_prefix_keeps_the_lowest_members_of_each_class(host, t):
+    """The mask keeps the t lowest ids of each class of equal closed rows
+    inside ``within``."""
+    g, within = host
+    within = g.vertex_mask if within is None else within
+    classes: dict[int, list[int]] = {}
+    for v in bits(within):
+        classes.setdefault((g.adj[v] | 1 << v) & within, []).append(v)
+    assert _twin_prefix(g, within, t) == mask_of(v for c in classes.values() for v in c[:t])
+
+
+def test_twin_prefix_on_twin_free_graphs_is_within():
+    for g in (cycle_graph(7), path_graph(9), pattern("house"), cycle_graph(9).complement()):
+        assert _twin_prefix(g, g.vertex_mask, 1) == g.vertex_mask
+        assert _twin_prefix(g, g.vertex_mask & ~1, 2) == g.vertex_mask & ~1
+
+
+def two_k300():
+    half = (1 << 300) - 1
+    rows = [(half << (v // 300 * 300)) & ~(1 << v) for v in range(600)]
+    return Graph(600, tuple(rows))
+
+
+def test_k4minus_search_on_two_cliques_covers_four_vertices():
+    """On 2K_300 the K4minus search runs over two twins per clique and finds
+    no copy (the unreduced DFS took 53 s on this graph)."""
+    g = two_k300()
+    assert _twin_prefix(g, g.vertex_mask, _twin_width(pattern("K4minus"))) == mask_of(
+        (0, 1, 300, 301))
+    start = time.perf_counter()
+    assert find_induced_embedding(g, pattern("K4minus")) is None
+    assert time.perf_counter() - start < 5.0
+
+
+def test_k4minus_route_on_two_cliques_still_hits_the_c5_gate():
+    """The 5-vertex gate counts the caller's vertices, not the representatives."""
+    with pytest.raises(PreconditionError, match="n <= 512, got 600"):
+        k4minus_free_clique(two_k300())
 
 
 def test_find_hole_in_range_on_cycles():

@@ -4,7 +4,9 @@ Each route token of ``immlab solve --method`` is run through the CLI's
 dispatcher on a few seeded graphs that meet its precondition, and the
 SHA-256 of the certificates' canonical JSON (one line per fixture) is
 compared with a pinned digest.  The two inflation engines are pinned the same
-way, with the cycle engine's colouring as one more line per fixture.  A
+way, with the cycle engine's colouring as one more line per fixture.  The
+induced-pattern and hole searches are pinned by their witnesses on hosts
+with large true-twin classes, and ``immlab analyze`` by its output digest.  A
 refactor of the routes or the engines must leave every digest unchanged; a
 deliberate change of output must update the pin and say why.
 """
@@ -16,16 +18,20 @@ import json
 
 import pytest
 
+import immlab.cli as cli
+from immlab.analysis import find_hole_in_range, find_induced_embedding
 from immlab.certificates import certificate_to_json, verify_certificate
 from immlab.cli import _solve_with_method
 from immlab.gen import Rng, forbholes_family, random_alpha2, random_hfree_alpha2, random_inflation
 from immlab.graphs import (
     FOUR_VERTEX_PATTERNS,
+    PATTERN_EDGES,
     Graph,
     complete_graph,
     cycle_graph,
     join,
     path_graph,
+    pattern,
 )
 from immlab.inflation import inflate, inflate_cycle, inflate_path
 from immlab.oracle import OracleBudget, brute_force_immersion, max_immersion_order
@@ -245,3 +251,60 @@ def oracle_digest(graphs, cap):
 def test_oracle_bytes_are_pinned(name):
     graphs, cap, golden = ORACLE_GOLDEN[name]
     assert oracle_digest(graphs(), cap) == golden
+
+
+def c5k20_join_k20():
+    core, _ = inflate(cycle_graph(5), (20,) * 5)
+    return join(core, complete_graph(20))
+
+
+#: Hosts with large true-twin classes: C5[K20] joined to K20 (n = 120), the
+#: k = 9 cycle inflation the inflation-large workload analyses (n = 256),
+#: and the P4-free join of 2K4 copies (n = 256).
+TWIN_HOSTS = {
+    "c5k20-k20": c5k20_join_k20,
+    "c9-n256": lambda: inflate(cycle_graph(9), (29, 29, 29, 29, 28, 28, 28, 28, 28))[0],
+    "p4-free-join-256": lambda: p4_free_join(256),
+}
+
+#: ``find_induced_embedding`` for every catalogue pattern and, under "hole",
+#: ``find_hole_in_range(g, 4, 9)`` on each host of ``TWIN_HOSTS``.
+WITNESS_GOLDEN = {
+    "c5k20-k20": {
+        "K4": (0, 1, 2, 3), "K4minus": (0, 1, 20, 80), "C4": None, "P4": (0, 20, 40, 60),
+        "paw": (0, 1, 20, 40), "K3v": (0, 1, 2, 40), "twoK2": (0, 1, 40, 41),
+        "C5": (0, 20, 40, 60, 80), "house": None, "owh": (0, 1, 20, 40, 60),
+        "hole": (0, 20, 40, 60, 80)},
+    "c9-n256": {
+        "K4": (0, 1, 2, 3), "K4minus": (0, 1, 29, 228), "C4": None, "P4": (0, 29, 58, 87),
+        "paw": (0, 1, 29, 58), "K3v": (0, 1, 2, 58), "twoK2": (0, 1, 58, 59),
+        "C5": None, "house": None, "owh": (0, 1, 29, 58, 87),
+        "hole": (0, 29, 58, 87, 116, 144, 172, 200, 228)},
+    "p4-free-join-256": {
+        "K4": (0, 1, 2, 3), "K4minus": (0, 1, 8, 12), "C4": (0, 8, 4, 12), "P4": None,
+        "paw": (0, 1, 8, 4), "K3v": (0, 1, 2, 4), "twoK2": (0, 1, 4, 5),
+        "C5": None, "house": None, "owh": None, "hole": (0, 8, 4, 12)},
+}
+
+#: SHA-256 of the ``immlab analyze`` stdout on the first two hosts.
+ANALYZE_GOLDEN = {
+    "c5k20-k20": "6cf956d06d98abc7125d9e378c36492f59d4fecc5a3fdd11d6364bf76c421b39",
+    "c9-n256": "cfdd639e22b1d6bd850b071566a3316e4725f1e54a79614d1830e6455fe7219c",
+}
+
+
+@pytest.mark.parametrize("host", sorted(WITNESS_GOLDEN))
+def test_search_witnesses_are_pinned(host):
+    g = TWIN_HOSTS[host]()
+    found = {name: find_induced_embedding(g, pattern(name)) for name in PATTERN_EDGES}
+    found["hole"] = find_hole_in_range(g, 4, 9)
+    assert found == WITNESS_GOLDEN[host]
+
+
+@pytest.mark.parametrize("host", sorted(ANALYZE_GOLDEN))
+def test_analyze_bytes_are_pinned(host, tmp_path, capsys):
+    path = tmp_path / "g.json"
+    path.write_text(TWIN_HOSTS[host]().to_json())
+    assert cli.main(["analyze", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == ANALYZE_GOLDEN[host]

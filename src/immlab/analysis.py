@@ -7,6 +7,7 @@ share code with it.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import NamedTuple
 
 from .errors import PreconditionError
@@ -378,45 +379,45 @@ def chordal_peo(g: Graph, within: int | None = None) -> tuple[int, ...] | None:
     (host ids; default all) if they induce a chordal graph, else None.
 
     Maximum-cardinality search (max visited-neighbour count, lowest id on
-    ties); the reverse visit order is a PEO iff the graph is chordal, which
-    the standard earliest-later-neighbour check confirms.
+    ties) over one mask of unvisited vertices per count.  The reverse visit
+    order is a PEO iff at each visit the earlier-visited neighbours other
+    than the latest all see the latest; the first visit that fails ends it.
     """
     within = g.vertex_mask if within is None else within
-    weight = [0] * g.n
-    visited = 0
+    by_count = {0: within}
+    seen = [0]  # seen[i]: the first i visited vertices
     visit: list[int] = []
     for _ in range(within.bit_count()):
-        v = max(bits(within & ~visited), key=lambda u: (weight[u], -u))
-        visit.append(v)
-        visited |= 1 << v
-        for u in bits(g.adj[v] & ~visited & within):
-            weight[u] += 1
-    peo = visit[::-1]
-    pos = [0] * g.n
-    for i, v in enumerate(peo):
-        pos[v] = i
-    for v in peo:
-        later = 0
-        for u in bits(g.adj[v] & within):
-            if pos[u] > pos[v]:
-                later |= 1 << u
-        if later:
-            first = min(bits(later), key=lambda u: pos[u])
-            if later & ~g.adj[first] & ~(1 << first):
+        top = max(by_count)
+        low = by_count[top] & -by_count[top]
+        v = low.bit_length() - 1
+        earlier = g.adj[v] & seen[-1]
+        if earlier:
+            # The shortest visit prefix holding them all ends at the latest.
+            latest = visit[bisect_left(seen, True, key=lambda m: not earlier & ~m) - 1]
+            if earlier & ~g.adj[latest] & ~(1 << latest):
                 return None
-    return tuple(peo)
+        visit.append(v)
+        seen.append(seen[-1] | low)
+        by_count[top] ^= low
+        for count in sorted(by_count, reverse=True):
+            moved = by_count[count] & g.adj[v]
+            if moved:
+                by_count[count] ^= moved
+                by_count[count + 1] = by_count.get(count + 1, 0) | moved
+            if not by_count[count]:
+                del by_count[count]
+    return tuple(visit[::-1])
 
 
 def peo_max_clique(g: Graph, peo: tuple[int, ...]) -> frozenset[int]:
     """Maximum clique of a chordal graph read off a perfect elimination order
-    of the subgraph induced on the vertices it lists."""
-    pos = [-1] * g.n
-    for i, v in enumerate(peo):
-        pos[v] = i
-    best: frozenset[int] = frozenset()
-    for v in peo:
-        members = {v}
-        members.update(u for u in bits(g.adj[v]) if pos[u] > pos[v])
-        if len(members) > len(best):
-            best = frozenset(members)
-    return best
+    of the subgraph induced on the vertices it lists: the first largest set
+    of a vertex and its later neighbours."""
+    best = later = 0
+    for v in reversed(peo):
+        members = g.adj[v] & later | 1 << v
+        if members.bit_count() >= best.bit_count():
+            best = members
+        later |= 1 << v
+    return frozenset(bits(best))

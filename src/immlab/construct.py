@@ -27,8 +27,8 @@ Each public route and each public extension step checks its preconditions
 once, then calls a private builder (``_extend_c4`` and ``_extend_articulated``
 for the steps, which grow the checked sub-certificate's path dict in place);
 callers that have proved a builder's precondition call it directly.  The
-C4 route's builder, ``_hole_free`` at alpha = 2, is its own C4 test: its
-hole scan finds any induced C4.
+C4 route's builder, ``_hole_free``, is its own C4 test: at independence 2
+its hole scan finds any induced C4.
 
 Every builder works on the input graph and a mask ``live`` of the vertices
 it builds over, in the input's own ids: no route copies a subgraph, hashes a
@@ -224,35 +224,41 @@ def _cycle_k3(g: Graph, cycle: tuple[int, ...]) -> ImmersionCertificate:
 def hole_free_immersion(g: Graph) -> ImmersionCertificate:
     """K_{chi(g)} immersion for graphs with no hole of length in [4, 2*alpha].
 
-    Any hole longer than 2*alpha+1 would contain too big an independent set,
-    so under the precondition the graph is either chordal (maximum clique =
-    chromatic number, taken directly) or carries a (2*alpha+1)-hole.  In the
-    latter case the graph decomposes as an exact inflation of that odd cycle
-    joined with universal vertices: the cycle engine produces the immersion,
-    it is trimmed to the inflation's exact chromatic number, and the
-    universal vertices join as direct branch vertices -- total order
-    chi(inflation) + #universals = chi(g).
+    A hole of length l holds floor(l/2) independent vertices, so under the
+    precondition g is chordal (its maximum clique, read off a perfect
+    elimination order, has order chi) or its least hole has length 2*alpha+1
+    and g is an exact inflation of that odd cycle joined with universal
+    vertices, which certifies alpha and the precondition.  The cycle engine's
+    immersion, trimmed to chi of the inflation, plus the universal vertices
+    as direct branch vertices has order chi(g).
     """
-    alpha = 2 if independent_triple(g) is None else independence_number(g)[0]
-    return _hole_free(g, alpha)
+    peo = chordal_peo(g)
+    if peo is not None:
+        return direct_clique_certificate(g, peo_max_clique(g, peo))
+    return _hole_free(g)
 
 
-def _hole_free(g: Graph, alpha: int) -> ImmersionCertificate:
-    """The check-and-build of ``hole_free_immersion`` on g of independence at
-    most ``alpha``: the build's one scan is the precondition test, so at
-    alpha = 2 this is also the C4 route, and only an induced C4 makes it
-    raise ``PreconditionError``.  A complete graph is taken directly, where
-    the scan would be cubic."""
+def _hole_free(g: Graph) -> ImmersionCertificate:
+    """The check-and-build of ``hole_free_immersion``: the build's one scan
+    is the precondition test, so at independence 2 this is also the C4
+    route, and only an induced C4 makes it raise ``PreconditionError``.  A
+    complete graph is taken directly, without a scan."""
     if g.is_clique(g.vertex_mask):
         return direct_clique_certificate(g, range(g.n))
     try:
-        return _hole_free_build(g, alpha, g.vertex_mask)
-    except ClaimViolation:
-        # The build's one scan may meet the (2*alpha+1)-hole before a shorter
-        # one; a failed build rescans [4, 2*alpha] to blame the input.
-        bad = find_hole_in_range(g, 4, 2 * alpha)
+        return _hole_free_build(g, g.vertex_mask)
+    except ClaimViolation as exc:
+        hole = exc.context.get("hole")
+        if hole is None:
+            raise
+        # A failed build around a (2a+1)-hole blames the input when the scan
+        # met it before a shorter hole, or when alpha exceeds a.
+        a = len(hole) // 2
+        bad = find_hole_in_range(g, 4, 2 * a)
         if bad is not None:
-            raise _short_hole(bad, alpha) from None
+            raise _short_hole(bad, a) from None
+        if independent_triple(g) if a == 2 else independence_number(g)[0] > a:
+            raise _short_hole(hole, a + 1) from None
         raise
 
 
@@ -261,15 +267,14 @@ def _short_hole(hole: tuple[int, ...], alpha: int) -> PreconditionError:
         f"input has a hole of length {len(hole)} inside [4, {2 * alpha}]: {hole}")
 
 
-def _hole_free_build(g: Graph, alpha: int, live: int) -> ImmersionCertificate:
-    """The construction of ``hole_free_immersion`` on ``live``, whose induced
-    subgraph has independence at most ``alpha``.  One scan over [4, 2*alpha+1]
-    finds the hole to build around; a hole of length at most 2*alpha fails
-    the precondition.  At alpha = 2 that is exactly "no induced C4", and on a
-    C4-free ``live`` the scan is the (2*alpha+1)-hole search."""
-    hole = find_hole_in_range(g, 4, 2 * alpha + 1, live)
-    if hole is not None and len(hole) <= 2 * alpha:
-        raise _short_hole(hole, alpha)
+def _hole_free_build(g: Graph, live: int) -> ImmersionCertificate:
+    """The construction of ``hole_free_immersion`` on ``live``.  One scan
+    over [4, |live|] finds the least hole: an even one holds half its length
+    in independent vertices, failing the precondition; an odd one is built
+    around.  At independence 2 the scan is exactly "no induced C4"."""
+    hole = find_hole_in_range(g, 4, max(4, live.bit_count()), live)
+    if hole is not None and len(hole) % 2 == 0:
+        raise _short_hole(hole, len(hole) // 2)
     if hole is None:
         peo = chordal_peo(g, live)
         if peo is None:
@@ -625,8 +630,8 @@ def _peel(g: Graph, p4_steps: bool) -> ImmersionCertificate:
                 p4_steps = False
                 step = _c4_step(g, live)
             if step is None:
-                # No induced C4 and independence <= 2: no hole in [4, 4].
-                cert = trim_certificate(_hole_free_build(g, 2, live), half_ceil(live.bit_count()))
+                # No induced C4 and independence <= 2: no hole in [4, 2*alpha].
+                cert = trim_certificate(_hole_free_build(g, live), half_ceil(live.bit_count()))
                 break
             peeled, extend = step
             steps.append((live, extend))
@@ -855,7 +860,7 @@ def _k4minus_build(g: Graph) -> tuple[ImmersionCertificate, TwoCliques | None]:
 #: caller has checked too except for C4: the hole-free route's own scan tests
 #: that, and raises ``PreconditionError`` on an induced C4.
 _PATTERN_BUILDERS: dict[str, Callable[[Graph], ImmersionCertificate]] = {
-    "C4": partial(_hole_free, alpha=2),
+    "C4": _hole_free,
     "P4": _house_free_inner,
     "paw": _house_free_inner,
     "twoK2": _owh_free_inner,

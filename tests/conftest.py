@@ -20,6 +20,9 @@ the answer back, the referee for the oracle's ``within`` mask;
 ``ref_find_induced_embedding`` and ``ref_find_hole_in_range`` are the
 induced-pattern and hole DFSs searching every vertex of the mask, without
 the package's reduction to true-twin class representatives.
+``ref_chordal_peo`` and ``ref_peo_max_clique`` are the maximum-cardinality
+search by a ``max`` over the unvisited vertices with the PEO checked after
+the whole visit, and the clique read off it vertex by vertex.
 """
 
 from __future__ import annotations
@@ -358,6 +361,51 @@ def ref_find_hole_in_range(g: Graph, lo: int, hi: int, within: int | None = None
             if got is not None:
                 return got
     return None
+
+
+def ref_chordal_peo(g: Graph, within: int | None = None):
+    """A perfect elimination ordering of the vertices of ``within`` if they
+    induce a chordal graph, else None: maximum-cardinality search (max
+    visited-neighbour count, lowest id on ties), then the earliest
+    later-neighbour check over the reverse visit order."""
+    within = g.vertex_mask if within is None else within
+    weight = [0] * g.n
+    visited = 0
+    visit: list[int] = []
+    for _ in range(within.bit_count()):
+        v = max(bits(within & ~visited), key=lambda u: (weight[u], -u))
+        visit.append(v)
+        visited |= 1 << v
+        for u in bits(g.adj[v] & ~visited & within):
+            weight[u] += 1
+    peo = visit[::-1]
+    pos = [0] * g.n
+    for i, v in enumerate(peo):
+        pos[v] = i
+    for v in peo:
+        later = 0
+        for u in bits(g.adj[v] & within):
+            if pos[u] > pos[v]:
+                later |= 1 << u
+        if later:
+            first = min(bits(later), key=lambda u: pos[u])
+            if later & ~g.adj[first] & ~(1 << first):
+                return None
+    return tuple(peo)
+
+
+def ref_peo_max_clique(g: Graph, peo: tuple[int, ...]) -> frozenset[int]:
+    """The first largest of the sets {v} plus v's later neighbours in ``peo``."""
+    pos = [-1] * g.n
+    for i, v in enumerate(peo):
+        pos[v] = i
+    best: frozenset[int] = frozenset()
+    for v in peo:
+        members = {v}
+        members.update(u for u in bits(g.adj[v]) if pos[u] > pos[v])
+        if len(members) > len(best):
+            best = frozenset(members)
+    return best
 
 
 def ref_auto_token(g: Graph) -> str:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import sys
+import time
 from functools import partial
 from itertools import combinations, permutations
 
@@ -18,6 +19,7 @@ from immlab.certificates import (
     direct_clique_certificate,
     verify_certificate,
 )
+from immlab.cli import _solve_with_method
 from immlab.construct import (
     _k4_free_inner,
     _k4_on_seven,
@@ -93,9 +95,9 @@ def test_hole_free_rejects_short_holes():
         hole_free_immersion(cycle_graph(4))
 
 
-def test_hole_free_reads_alpha_two_from_the_triple_test_above_the_clique_gate():
+def test_hole_free_reaches_chi_at_alpha_two_above_the_clique_gate():
     """C5[K30] joined to K10 has n = 160, above the n <= 128 clique search:
-    with no independent triple, alpha is 2, and the route reaches chi."""
+    the route reaches chi without computing alpha."""
     core, _bags = inflate(cycle_graph(5), (30,) * 5)
     g = join(core, complete_graph(10))
     chi = cycle_inflation_chromatic((30,) * 5)[0] + 10
@@ -112,8 +114,8 @@ def test_hole_free_empty_graph():
     lambda: (join(inflate(cycle_graph(5), (40,) * 5)[0], complete_graph(56)), {"chi": 156}),
 ], ids=["forbholes-3-0", "forbholes-3-1", "forbholes-3-2", "c5k40-k56"])
 def test_hole_free_route_scans_for_holes_once(monkeypatch, host):
-    """One scan over [4, 2*alpha+1] both checks the precondition and finds
-    the hole to build around."""
+    """One scan over [4, n] both checks the precondition and finds the hole
+    to build around."""
     g, info = host()
     counts = count_calls(monkeypatch, construct, "find_hole_in_range")
     checked(g, hole_free_immersion(g), info["chi"])
@@ -131,6 +133,76 @@ def test_hole_free_rescans_when_the_build_fails(monkeypatch):
                        match=r"hole of length 4 inside \[4, 4\]: \(0, 2, 5, 3\)"):
         hole_free_immersion(g)
     assert counts["find_hole_in_range"] == 2
+
+
+def cycle_join(k, bag, universal):
+    """C_k[K_bag] joined to K_universal."""
+    return join(inflate(cycle_graph(k), (bag,) * k)[0], complete_graph(universal))
+
+
+def disjoint_cliques(count, size):
+    """count disjoint copies of K_size: chordal, alpha = count."""
+    return Graph.from_edges(count * size, [
+        e for q in range(count) for e in combinations(range(q * size, (q + 1) * size), 2)])
+
+
+def path_square(n):
+    """P_n plus the edges between vertices two apart: chordal, alpha = ceil(n/3)."""
+    return Graph.from_edges(n, [(i, j) for i in range(n) for j in (i + 1, i + 2) if j < n])
+
+
+@pytest.mark.parametrize("host, chi", [
+    (lambda: cycle_join(7, 19, 10), cycle_inflation_chromatic((19,) * 7)[0] + 10),
+    (lambda: cycle_join(11, 50, 10), cycle_inflation_chromatic((50,) * 11)[0] + 10),
+    (lambda: disjoint_cliques(3, 50), 50),
+], ids=["C7[K19]+K10", "C11[K50]+K10", "3K50"])
+def test_forbholes_reaches_chi_above_the_clique_gate_at_alpha_three_and_more(host, chi):
+    """n = 143, 560 and 150, with alpha = 3, 5 and 3: the chordal graph is
+    taken by its PEO clique, the others by the build around the least hole,
+    and no route computes alpha."""
+    g = host()
+    _token, cert, _parts = _solve_with_method(g, "forbholes")
+    checked(g, cert, chi)
+
+
+def test_forbholes_takes_the_square_of_a_long_path_by_its_peo():
+    """The square of P_200 is chordal with alpha = 67: the route reads its
+    triangles off the PEO instead of scanning its induced paths for holes."""
+    g = path_square(200)
+    start = time.perf_counter()
+    cert = hole_free_immersion(g)
+    elapsed = time.perf_counter() - start
+    checked(g, cert, 3)
+    assert elapsed < 1.0, f"hole_free_immersion took {elapsed:.2f}s on n=200"
+
+
+@pytest.mark.parametrize("k, bag, message", [
+    (5, 3, r"hole of length 5 inside \[4, 6\]: \(0, 3, 6, 9, 12\)"),
+    (7, 2, r"hole of length 7 inside \[4, 8\]: \(0, 2, 4, 6, 8, 10, 12\)"),
+], ids=["C5[K3]+K1", "C7[K2]+K1"])
+def test_hole_free_blames_the_hole_when_alpha_exceeds_its_half(k, bag, message):
+    """An isolated vertex sees none of the (2a+1)-hole, so the build fails;
+    no shorter hole exists, and alpha = a + 1 (the triple test at a = 2,
+    the clique search at a = 3) makes the hole a precondition failure."""
+    core, _bags = inflate(cycle_graph(k), (bag,) * k)
+    g = Graph.from_edges(core.n + 1, core.edges())
+    with pytest.raises(PreconditionError, match=message):
+        hole_free_immersion(g)
+
+
+@pytest.mark.parametrize("host", [
+    lambda: forbholes_family(3, 4)[0],
+    lambda: forbholes_family(6, 1)[0],
+    lambda: cycle_join(5, 30, 10),
+    lambda: cycle_join(7, 19, 10),
+    lambda: disjoint_cliques(3, 50),
+    lambda: complete_graph(6),
+], ids=["forbholes-3-4", "forbholes-6-1", "C5[K30]+K10", "C7[K19]+K10", "3K50", "K6"])
+def test_hole_free_success_path_computes_no_alpha(monkeypatch, host):
+    g = host()
+    counts = count_calls(monkeypatch, construct, "independent_triple", "independence_number")
+    assert verify_certificate(g, hole_free_immersion(g)).ok
+    assert counts["independent_triple"] == counts["independence_number"] == 0
 
 
 # -- dominating-cycle extensions -----------------------------------------------------
@@ -603,7 +675,7 @@ def calls_of(log, name, *tail):
 
 
 def test_auto_asks_each_precondition_once(monkeypatch):
-    """The C4 route's hole scan over [4, 5] is its only C4 test."""
+    """The C4 route's one hole scan, over [4, n], is its only C4 test."""
     g = join(inflate(cycle_graph(5), (3,) * 5)[0], complete_graph(2))
     log = count_precondition_calls(monkeypatch)
     token, cert = auto_immersion(g)
@@ -611,8 +683,8 @@ def test_auto_asks_each_precondition_once(monkeypatch):
     checked(g, cert, half_ceil(g.n))
     assert calls_of(log, "independent_triple") == 1
     assert calls_of(log, "find_induced_embedding", pattern("C4")) == 0
-    assert calls_of(log, "find_hole_in_range", 4, 5, g.vertex_mask) == 1
-    assert calls_of(log, "find_hole_in_range", 4, 4) == 0
+    assert calls_of(log, "find_hole_in_range", 4, g.n, g.vertex_mask) == 1
+    assert sum(name == "find_hole_in_range" for name, _args in log) == 1
 
 
 def test_c4_route_runs_no_induced_c4_search(monkeypatch):
@@ -622,7 +694,8 @@ def test_c4_route_runs_no_induced_c4_search(monkeypatch):
     checked(g, pattern_free_immersion(g, "C4"), half_ceil(g.n))
     assert calls_of(log, "independent_triple") == 1
     assert not [args for name, args in log if name == "find_induced_embedding"]
-    assert calls_of(log, "find_hole_in_range", 4, 5, g.vertex_mask) == 1
+    assert calls_of(log, "find_hole_in_range", 4, g.n, g.vertex_mask) == 1
+    assert sum(name == "find_hole_in_range" for name, _args in log) == 1
 
 
 def test_k4minus_route_asks_each_precondition_once(monkeypatch):
@@ -705,7 +778,7 @@ def test_hole_free_build_reports_a_non_inflation_as_claim_violation():
     cycle = [(i, (i + 1) % 5) for i in range(5)]
     g = Graph.from_edges(7, cycle + [(x, h) for x in (5, 6) for h in (0, 1, 2)])
     with pytest.raises(ClaimViolation, match="bag 0 is not a clique") as info:
-        construct._hole_free_build(g, 2, g.vertex_mask)
+        construct._hole_free_build(g, g.vertex_mask)
     assert info.value.graph == g
     assert info.value.context["hole"] == (0, 1, 2, 3, 4)
     assert info.value.context["bags"][0] == (1, 5, 6)
@@ -735,7 +808,7 @@ def test_residue_vertex_universal_only_inside_the_live_set_joins_the_core():
     edges += [(a, r) for a in range(4) for r in range(4, 9)]
     edges += [(9, v) for v in range(1, 9)]
     g = Graph.from_edges(10, edges)
-    residue = construct._hole_free_build(g, 2, g.vertex_mask & ~0b1111)
+    residue = construct._hole_free_build(g, g.vertex_mask & ~0b1111)
     assert residue.branch == (4, 7, 8, 9)
     assert residue.paths[(4, 7)] == (4, 5, 6, 7) and residue.paths[(4, 9)] == (4, 9)
     checked(g, house_free_immersion(g), 5)
@@ -748,6 +821,7 @@ IN_PLACE_SOLVES = {
     "vergara:C4": (lambda: join(inflate(cycle_graph(5), (3,) * 5)[0], complete_graph(2)),
                    lambda g: pattern_free_immersion(g, "C4")),
     "forbholes": (lambda: forbholes_family(2, 1)[0], hole_free_immersion),
+    "forbholes-alpha3": (lambda: forbholes_family(3, 1)[0], hole_free_immersion),
     "house": (PEEL_HOSTS["house"], house_free_immersion),
     "owh": (PEEL_HOSTS["owh"], owh_free_immersion),
 }

@@ -141,6 +141,41 @@ def test_deep_peel_bytes_are_pinned(family, token):
     assert route_digest(token, graphs()) == golden
 
 
+#: ``forbholes`` on ``forbholes_family(alpha, s)`` for s = 1, 2, 3, at the
+#: independence numbers above those of ``GOLDEN``'s fixtures.
+FORBHOLES_ALPHA_GOLDEN = {
+    4: "dc7fdf4a89c2a237007168012d0ccf008ffdd4baa5f7265c5316963dfdcc2c43",
+    5: "078d2e18ddfac3a419bb9a5a62ab1075106378c28bf7dd7337343d604f44c457",
+    6: "0a9994cfb05314526fd0e070c9c016c505ba54db2344a553625956f842339053",
+}
+
+
+@pytest.mark.parametrize("alpha", sorted(FORBHOLES_ALPHA_GOLDEN))
+def test_forbholes_bytes_at_higher_alpha_are_pinned(alpha):
+    graphs = [forbholes_family(alpha, s)[0] for s in (1, 2, 3)]
+    assert route_digest("forbholes", graphs) == FORBHOLES_ALPHA_GOLDEN[alpha]
+
+
+#: The exit-2 message of ``immlab solve --method forbholes``: C6 is its own
+#: even hole; on random_alpha2(6, 65) the first hole found is a 5-hole, the
+#: build around it fails, and the C4 the rescan finds is blamed.
+FORBHOLES_ERROR_GOLDEN = {
+    "C6": (lambda: cycle_graph(6),
+           "error: input has a hole of length 6 inside [4, 6]: (0, 1, 2, 3, 4, 5)\n"),
+    "random-alpha2-6-65": (lambda: random_alpha2(6, 65),
+                           "error: input has a hole of length 4 inside [4, 4]: (0, 2, 5, 3)\n"),
+}
+
+
+@pytest.mark.parametrize("host", sorted(FORBHOLES_ERROR_GOLDEN))
+def test_forbholes_exit_two_messages_are_pinned(host, tmp_path, capsys):
+    graph, message = FORBHOLES_ERROR_GOLDEN[host]
+    path = tmp_path / "g.json"
+    path.write_text(graph().to_json())
+    assert cli.main(["solve", "--method", "forbholes", str(path)]) == 2
+    assert capsys.readouterr().err == message
+
+
 def test_k4minus_partitions_are_pinned():
     parts = []
     for g in fixtures("k4minus"):

@@ -218,42 +218,37 @@ def _colour(g: Graph, alpha: int, omega: int, clique: frozenset[int]
 # -- induced-subgraph search ---------------------------------------------------
 
 
-def _twin_prefix(g: Graph, within: int, t: int) -> int:
-    """``within`` less all but the t lowest ids of each true-twin class of
-    g[within] (vertices whose closed neighbourhoods agree inside ``within``).
-    Kept per t on g, the way ``sha256`` keeps its digest, when ``within`` is
-    every vertex."""
-    whole = within == g.vertex_mask
-    kept = g.__dict__.setdefault("_twin_prefix", {}) if whole else {}
-    mask = kept.get(t)
-    if mask is None:
-        vs = (range(g.n) if whole
-              else [v for v, bit in enumerate(bin(within)[:1:-1]) if bit == "1"])
+def _twin_classes(g: Graph) -> list[int]:
+    """Masks of g's true-twin classes (equal closed neighbourhoods) with at
+    least two members, kept on g the way ``sha256`` keeps its digest."""
+    classes = g.__dict__.get("_twin_classes")
+    if classes is None:
         # Rows as bytes: Python hashes an int modulo 2**61 - 1, so rows that
-        # differ in a few far-apart bits collide and a set of them degrades.
-        adj, size = g.adj, (g.n + 7) // 8
-        closed = [((adj[v] | 1 << v) & within).to_bytes(size, "little") for v in vs]
-        mask = within
-        if len(set(closed)) < len(closed):
-            mask = 0
-            taken: dict[bytes, int] = {}
-            for v, row in zip(vs, closed):
-                count = taken.get(row, 0)
-                if count < t:
-                    taken[row] = count + 1
-                    mask |= 1 << v
-        kept[t] = mask
-    return mask
+        # differ in a few far-apart bits collide and a dict of them degrades.
+        size, by_row = (g.n + 7) // 8, {}
+        for v, row in enumerate(g.adj):
+            key = (row | 1 << v).to_bytes(size, "little")
+            by_row[key] = by_row.get(key, 0) | 1 << v
+        classes = [cls for cls in by_row.values() if cls & cls - 1]
+        object.__setattr__(g, "_twin_classes", classes)
+    return classes
+
+
+def _twin_prefix(g: Graph, within: int, t: int) -> int:
+    """``within`` less all but the t lowest members of each of g's true-twin
+    classes.  Twins in g stay twins in g[within], so the mask still holds
+    the t lowest members of each true-twin class of g[within]."""
+    for cls in _twin_classes(g):
+        rest = cls & within
+        for _ in range(t):
+            rest &= rest - 1
+        within &= ~rest
+    return within
 
 
 def _twin_width(h: Graph) -> int:
-    """Size of h's largest true-twin class, kept on h after the first call."""
-    width = h.__dict__.get("_twin_width")
-    if width is None:
-        closed = [row | 1 << v for v, row in enumerate(h.adj)]
-        width = max(map(closed.count, closed), default=0)
-        object.__setattr__(h, "_twin_width", width)
-    return width
+    """Size of h's largest true-twin class."""
+    return max((cls.bit_count() for cls in _twin_classes(h)), default=1)
 
 
 def find_induced_embedding(g: Graph, h: Graph, within: int | None = None
@@ -265,14 +260,17 @@ def find_induced_embedding(g: Graph, h: Graph, within: int | None = None
     that g.has_edge(phi[i], phi[j]) iff h.has_edge(i, j).  Candidates are
     narrowed with bitmasks: degree-based pruning is unsound for *induced*
     embeddings, so only exact prefix compatibility is used.  The 5-vertex
-    gate counts the vertices of ``within``.
+    gate counts the vertices of ``within``.  The constructions ask for
+    induced cycles through ``find_hole_in_range``, which has no gate, and
+    for the other patterns here.
 
     The DFS returns the lexicographically least phi, and runs only over the
-    t lowest ids of each true-twin class of g[within], t the size of h's
-    largest true-twin class (1 for C4, P4, C5 and the house).  That loses no
-    answer: swapping a vertex of phi for a lower unused twin gives a smaller
-    embedding, so the least phi takes the lowest members of each class, and
-    the h-vertices it maps into one class are true twins in h.
+    t lowest members of each of g's true-twin classes that ``within`` meets,
+    t the size of h's largest true-twin class (1 for C4, P4, C5 and the
+    house).  That loses no answer: swapping a vertex of phi for a lower
+    unused twin gives a smaller embedding, so the least phi takes the lowest
+    members of each class of g[within], and the h-vertices it maps into one
+    class are true twins in h.
     """
     within = g.vertex_mask if within is None else within
     n = within.bit_count()
@@ -331,22 +329,20 @@ def find_hole_in_range(g: Graph, lo: int, hi: int, within: int | None = None
     The returned tuple lists the hole in cyclic order starting at its minimum
     vertex.  Search is DFS over induced paths whose start is the path minimum,
     ascending at every choice point, so the answer is deterministic: the
-    lexicographically least such sequence.  It runs over the lowest id of
-    each true-twin class of g[within] only.  A hole has no two true twins,
-    and swapping a hole vertex for a lower twin off the hole gives a smaller
-    sequence, so the least hole avoids every other class member.
+    lexicographically least such sequence.  It runs over the lowest member
+    of each of g's true-twin classes that ``within`` meets.  A hole has no
+    two true twins, and swapping a hole vertex for a lower twin off the hole
+    gives a smaller sequence, so the least hole avoids every other member.
     """
     if lo < 4:
         raise ValueError(f"holes start at length 4, got lo={lo}")
     if hi < lo:
         raise ValueError(f"empty range [{lo}, {hi}]")
     within = _twin_prefix(g, g.vertex_mask if within is None else within, 1)
-    # A vertex outside ``within`` gets an empty row, so no path starts there.
-    adj = g.adj if within == g.vertex_mask else [row & within if within >> v & 1 else 0
-                                                 for v, row in enumerate(g.adj)]
+    adj = g.adj
 
     def grow(s: int, path: list[int], forbidden: int) -> tuple[int, ...] | None:
-        # forbidden: <= s, already used, or adjacent to a non-tip path vertex.
+        # forbidden: <= s, outside ``within``, used, or next to a non-tip path vertex.
         tail = path[-1]
         for v in bits(adj[tail] & ~forbidden):
             if adj[s] >> v & 1:
@@ -361,9 +357,8 @@ def find_hole_in_range(g: Graph, lo: int, hi: int, within: int | None = None
                     return got
         return None
 
-    below = 0
-    for s in range(g.n):
-        below |= 1 << s
+    for s in bits(within):
+        below = ~within | ((2 << s) - 1)
         for p1 in bits(adj[s] & ~below):
             got = grow(s, [s, p1], below | (1 << p1))
             if got is not None:

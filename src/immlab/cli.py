@@ -130,19 +130,23 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         "min_degree": min(degrees) if degrees else None,
         "max_degree": max(degrees) if degrees else None,
     }
+    hole = hi = None
     if g.n <= MAX_CLIQUE_N:
         p = clique_profile(g)
         report["alpha"] = p.alpha
         report["alpha_witness"] = sorted(p.alpha_witness)
         report["omega"] = p.omega
         report["omega_witness"] = sorted(p.omega_witness)
-        hole = find_hole_in_range(g, 4, max(4, 2 * p.alpha)) if g.n else None
+        hi = max(4, 2 * p.alpha)
+        hole = find_hole_in_range(g, 4, hi)
         report["short_hole"] = list(hole) if hole else None
         report["chi"] = p.chi
     else:
         report.update(alpha=None, omega=None, chi=None)
-    induced: dict = {}
-    for name in FOUR_VERTEX_PATTERNS + ("house", "owh"):
+    # At alpha <= 2 the short-hole scan is the [4, 4] scan: an induced C4.
+    c4 = hole if hi == 4 else find_hole_in_range(g, 4, 4)
+    induced: dict = {"C4": sorted(c4) if c4 is not None else None}
+    for name in FOUR_VERTEX_PATTERNS[1:] + ("house", "owh"):
         try:
             hit = find_induced(g, pattern(name))
         except PreconditionError:

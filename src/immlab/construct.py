@@ -649,9 +649,9 @@ _owh_free_inner = partial(_peel, p4_steps=True)
 
 
 def _c4_step(g: Graph, live: int) -> tuple[tuple[int, ...], partial] | None:
-    """An induced C4 of the live set and its extension; house-freeness makes
-    it dominate.  None when the live set has no induced C4."""
-    cycle = find_induced_embedding(g, pattern("C4"), live)
+    """The least 4-hole of the live set and its extension; house-freeness
+    makes it dominate.  None when the live set has no induced C4."""
+    cycle = find_hole_in_range(g, 4, 4, live)
     if cycle is None:
         return None
     fmask = mask_of(cycle)
@@ -663,7 +663,7 @@ def _c4_step(g: Graph, live: int) -> tuple[tuple[int, ...], partial] | None:
                 graph=g,
                 context={"vertex": u, "cycle": cycle,
                          "sees": sorted(bits(g.adj[u] & fmask))})
-    # The embedding is induced in cycle order, and a vertex seeing three of
+    # The hole is listed in cycle order, and a vertex seeing three of
     # the four cycle vertices sees an end of every cycle edge.
     return cycle, partial(_extend_c4, g, live, cycle)
 
@@ -810,7 +810,7 @@ def _k4minus_build(g: Graph) -> tuple[ImmersionCertificate, TwoCliques | None]:
     if g.is_clique(g.vertex_mask):
         full = frozenset(range(n))
         return direct_clique_certificate(g, range(n)), (full, frozenset())
-    five = find_induced_embedding(g, pattern("C5"))
+    five = find_hole_in_range(g, 5, 5)
     if five is not None:
         if n == 5:
             return _cycle_k3(g, five), None

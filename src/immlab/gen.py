@@ -9,6 +9,8 @@ an instance is returned, and a broken promise raises instead of returning.
 
 from __future__ import annotations
 
+from typing import Callable
+
 from .analysis import find_hole_in_range, find_induced, independence_number, independent_triple
 from .errors import PreconditionError
 from .graphs import (
@@ -50,20 +52,26 @@ class Rng:
 # -- independence-number-two graphs ----------------------------------------------
 
 
-def _random_alpha2_from(rng: Rng, n: int) -> Graph:
-    # Build the complement triangle-free by rejection at the edge level, then
-    # flip.  alpha(G) <= 2 iff the complement has no triangle.
+def _triangle_free_fill(rng: Rng, n: int, lo: int = 0,
+                        tied: Callable[[int, int], bool] | None = None) -> list[int]:
+    """Complement rows over vertices lo..n-1, by rejection at the edge level:
+    rng.below(n*n + 1) random pairs, each added unless it is a loop, already
+    present, closes a complement triangle or is ``tied`` (stays an edge)."""
     comp = [0] * n
-    attempts = rng.below(n * n + 1)
-    for _ in range(attempts):
-        u = rng.below(n)
-        v = rng.below(n)
-        if u == v or comp[u] >> v & 1:
+    attempts, size = rng.below(n * n + 1), n - lo
+    for _ in range(attempts if size else 0):
+        u = lo + rng.below(size)
+        v = lo + rng.below(size)
+        if u == v or comp[u] >> v & 1 or comp[u] & comp[v] or tied and tied(u, v):
             continue
-        if comp[u] & comp[v]:
-            continue  # would close a triangle in the complement
         comp[u] |= 1 << v
         comp[v] |= 1 << u
+    return comp
+
+
+def _random_alpha2_from(rng: Rng, n: int) -> Graph:
+    # alpha(G) <= 2 iff the complement has no triangle.
+    comp = _triangle_free_fill(rng, n)
     full = (1 << n) - 1
     return Graph(n, tuple(full & ~comp[v] & ~(1 << v) for v in range(n)))
 
@@ -144,29 +152,15 @@ def _planted_dominating(pattern_name: str, n: int, seed: int) -> tuple[Graph, tu
     rng = Rng(seed)
     miss = {v: rng.below(k + 1) for v in range(k, n)}  # k means "misses none"
 
-    comp = [0] * n  # complement adjacency of the outside part
-    outside = list(range(k, n))
-    attempts = rng.below(n * n + 1)
-    for _ in range(attempts):
-        if not outside:
-            break
-        u = outside[rng.below(len(outside))]
-        v = outside[rng.below(len(outside))]
-        if u == v or comp[u] >> v & 1:
-            continue
-        if miss[u] == miss[v] and miss[u] != k:
-            continue  # same miss group must stay a clique
-        if comp[u] & comp[v]:
-            continue  # complement triangle
-        comp[u] |= 1 << v
-        comp[v] |= 1 << u
+    # Outside vertices missing the same pattern vertex stay a clique.
+    comp = _triangle_free_fill(rng, n, k, lambda u, v: miss[u] == miss[v] != k)
 
     adj = [0] * n
     for i, j in h.edges():
         adj[i] |= 1 << j
         adj[j] |= 1 << i
-    outside_mask = mask_of(outside)
-    for u in outside:
+    outside_mask = mask_of(range(k, n))
+    for u in range(k, n):
         row = outside_mask & ~comp[u] & ~(1 << u)
         for i in range(k):
             if miss[u] != i:

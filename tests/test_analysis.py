@@ -272,14 +272,19 @@ def test_twin_widths_of_the_catalogue():
 @given(twin_hosts(), st.integers(1, 4))
 @settings(max_examples=80, deadline=None)
 def test_twin_prefix_keeps_the_lowest_members_of_each_class(host, t):
-    """The mask keeps the t lowest ids of each class of equal closed rows
-    inside ``within``."""
+    """The mask keeps the t lowest members inside ``within`` of each class of
+    equal closed rows of g, so also the t lowest of each class of g[within]."""
     g, within = host
     within = g.vertex_mask if within is None else within
+    mask = _twin_prefix(g, within, t)
     classes: dict[int, list[int]] = {}
+    inside: dict[int, list[int]] = {}
     for v in bits(within):
-        classes.setdefault((g.adj[v] | 1 << v) & within, []).append(v)
-    assert _twin_prefix(g, within, t) == mask_of(v for c in classes.values() for v in c[:t])
+        classes.setdefault(g.adj[v] | 1 << v, []).append(v)
+        inside.setdefault((g.adj[v] | 1 << v) & within, []).append(v)
+    assert mask == mask_of(v for c in classes.values() for v in c[:t])
+    for c in inside.values():
+        assert mask_of(c[:t]) & ~mask == 0
 
 
 def test_twin_prefix_on_twin_free_graphs_is_within():
@@ -305,10 +310,17 @@ def test_k4minus_search_on_two_cliques_covers_four_vertices():
     assert time.perf_counter() - start < 5.0
 
 
-def test_k4minus_route_on_two_cliques_still_hits_the_c5_gate():
+def test_c5_search_on_two_cliques_still_hits_the_gate():
     """The 5-vertex gate counts the caller's vertices, not the representatives."""
     with pytest.raises(PreconditionError, match="n <= 512, got 600"):
-        k4minus_free_clique(two_k300())
+        find_induced_embedding(two_k300(), pattern("C5"))
+
+
+def test_k4minus_route_answers_on_two_cliques():
+    """The route's C5 test is a [5, 5] hole scan, which has no 5-vertex gate."""
+    cert, (a, b) = k4minus_free_clique(two_k300())
+    assert cert.order == 300
+    assert (len(a), len(b)) == (300, 300)
 
 
 def test_find_hole_in_range_on_cycles():

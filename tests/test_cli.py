@@ -11,7 +11,7 @@ from immlab import analysis, construct
 from immlab.certificates import certificate_from_json, certificate_to_json
 from immlab.errors import BudgetExceeded, ClaimViolation
 from immlab.gen import random_alpha2
-from immlab.graphs import FOUR_VERTEX_PATTERNS, cycle_graph, graph_from_json
+from immlab.graphs import FOUR_VERTEX_PATTERNS, cycle_graph, graph_from_json, pattern
 
 
 def run(capsys, argv):
@@ -163,6 +163,33 @@ def test_analyze_runs_two_clique_searches(tmp_path, capsys, monkeypatch):
     code, out, _ = run(capsys, ["solve", str(path)])
     assert code == 0 and json.loads(out)["chi"] is not None
     assert len(calls) == 2
+
+
+def test_analyze_asks_for_an_induced_c4_once(tmp_path, capsys, monkeypatch):
+    """At alpha <= 2 the short-hole scan is the [4, 4] scan, and it answers
+    ``induced["C4"]`` too: no induced-C4 embedding search runs."""
+    scans, searched = [], []
+    real_scan, real_search = cli.find_hole_in_range, analysis.find_induced_embedding
+
+    def scan(g, lo, hi, within=None):
+        scans.append((lo, hi))
+        return real_scan(g, lo, hi, within)
+
+    def search(g, h, within=None):
+        searched.append(h)
+        return real_search(g, h, within)
+
+    monkeypatch.setattr(cli, "find_hole_in_range", scan)
+    monkeypatch.setattr(analysis, "find_induced_embedding", search)
+    path = tmp_path / "g.json"
+    path.write_text(random_alpha2(12, 3).to_json())
+    code, out, _ = run(capsys, ["analyze", str(path)])
+    report = json.loads(out)
+    assert code == 0 and report["alpha"] <= 2
+    assert scans == [(4, 4)]
+    assert report["induced"]["C4"] == (None if report["short_hole"] is None
+                                       else sorted(report["short_hole"]))
+    assert pattern("C4") not in searched and len(searched) == 8
 
 
 def test_verify_round_trip_and_tamper(tmp_path, capsys):

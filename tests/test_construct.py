@@ -486,12 +486,13 @@ def test_k4minus_5_cycle_keeps_the_hole_scans_cyclic_order():
     (lambda: random_hfree_alpha2("K4minus", 9, 9), 1),
 ], ids=["C5", "K5", "random-9"])
 def test_k4minus_build_asks_for_an_induced_c5_once(monkeypatch, host, searches):
+    """The C5 test is one [5, 5] hole scan, not an induced-pattern search."""
     g = host()
     counts = count_calls(monkeypatch, construct, "find_induced_embedding",
                          "find_hole_in_range")
     construct._k4minus_build(g)
-    assert counts["find_induced_embedding"] == searches
-    assert counts["find_hole_in_range"] == 0
+    assert counts["find_hole_in_range"] == searches
+    assert counts["find_induced_embedding"] == 0
 
 
 def test_k4minus_complete_graph():

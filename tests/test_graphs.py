@@ -178,6 +178,14 @@ def test_largest_complete_graph_builds_quickly():
     assert g.degree(0) == n - 1
 
 
+def test_clique_and_independent_masks():
+    g = cycle_graph(5)
+    assert g.is_independent(0) and g.is_independent(0b1) and g.is_independent(0b101)
+    assert not g.is_independent(0b11) and not g.is_independent(0b10001)
+    assert g.is_independent(0b1010) and not g.is_independent(0b1011)
+    assert complete_graph(4).is_clique(0b1111) and not g.is_clique(0b101)
+
+
 def test_text_format_round_trip():
     g = cycle_graph(4)
     assert g.to_text() == "4 4\n0 1\n0 3\n1 2\n2 3\n"

@@ -10,6 +10,13 @@ for every pair of them, a path in g, such that
 ``verify_certificate`` checks branch, keys and vertices, then I (each step
 x -> y against the bitset row ``adj[x]``), II (the steps' edges, one int each,
 all distinct) and III (walk interiors against the branch set), in that order.
+
+The canonical JSON is the compact ``json.dumps`` form of the document
+``{"format", "graph_sha256", "order", "branch", "paths"}``, with the branch
+sorted and one ``{"u", "v", "walk"}`` object per path in key order.
+``certificate_to_json`` writes those bytes itself: one f-string per path,
+joined once, the ints by ``str`` and only the host hash by ``json.dumps``,
+so that its escaping is ``json.dumps``'s.
 """
 
 from __future__ import annotations
@@ -154,15 +161,13 @@ def trim_certificate(cert: ImmersionCertificate, target: int) -> ImmersionCertif
 
 
 def certificate_to_json(cert: ImmersionCertificate) -> str:
-    doc = {
-        "format": CERT_FORMAT,
-        "graph_sha256": cert.host_hash,
-        "order": len(cert.branch),
-        "branch": sorted(cert.branch),
-        "paths": [{"u": u, "v": v, "walk": list(w)}
-                  for (u, v), w in sorted(cert.paths.items())],
-    }
-    return json.dumps(doc, separators=(",", ":"))
+    """The canonical JSON of a certificate whose vertices are ints, as
+    ``certificate_from_json`` reads them (``str(True)`` is not ``true``)."""
+    paths = ",".join(f'{{"u":{u},"v":{v},"walk":[{",".join(map(str, w))}]}}'
+                     for (u, v), w in sorted(cert.paths.items()))
+    return (f'{{"format":"{CERT_FORMAT}","graph_sha256":{json.dumps(cert.host_hash)},'
+            f'"order":{len(cert.branch)},"branch":[{",".join(map(str, sorted(cert.branch)))}],'
+            f'"paths":[{paths}]}}')
 
 
 @collector_paused

@@ -78,10 +78,8 @@ def inflate(base: Graph, sizes: tuple[int, ...]) -> tuple[Graph, Bags]:
 
 
 def inflation_to_json(spec: InflationSpec) -> str:
-    doc = {"format": INFLATION_FORMAT,
-           "base": json.loads(spec.base.to_json()),
-           "f": list(spec.sizes)}
-    return json.dumps(doc, separators=(",", ":"))
+    return (f'{{"format":"{INFLATION_FORMAT}","base":{spec.base.to_json()},'
+            f'"f":[{",".join(map(str, spec.sizes))}]}}')
 
 
 def inflation_from_json(text: str) -> InflationSpec:
@@ -330,6 +328,13 @@ def _cycle_build(bags: Bags) -> tuple[tuple[int, ...], dict[Pair, Walk], tuple[i
     bags is an edge, and the inner levels, numbered from 0, are exact by
     construction.  The seam bags meet ``inflate_path``'s size conditions by
     the rotation.
+
+    An inner step a -> b is lifted by d = bag_of[a] - bag_of[b] alone: with
+    |d| <= 1 it is a host edge, with d = +-(k-3) it joins the inner end bags
+    and rides the seam walk of its host pair, and any other d is an error.
+    A two-vertex inner walk, the only kind the k = 3 and k = 5 levels make,
+    lifts to its host pair or to that pair's seam walk as it stands: a seam
+    walk is simple and runs from the lower id.
     """
     k = len(bags)
     sizes = [len(b) for b in bags]
@@ -409,26 +414,33 @@ def _cycle_build(bags: Bags) -> tuple[tuple[int, ...], dict[Pair, Walk], tuple[i
     # As ``to_host`` is a bijection, only a walk that rode a seam can repeat a vertex.
     last = k - 3
     paths: dict[Pair, Walk] = {}
-    for (u, v), walk in inner_paths.items():
-        host_walk = [to_host[walk[0]]]
+    for walk in inner_paths.values():
+        hu, hv = to_host[walk[0]], to_host[walk[-1]]
+        key = (hu, hv) if hu < hv else (hv, hu)
+        if len(walk) == 2:  # the host edge or its seam walk, as it stands
+            d = bag_of[walk[0]] - bag_of[walk[1]]
+            if -1 <= d <= 1:
+                paths[key] = key
+                continue
+            if d == last or d == -last:
+                paths[key] = seam[key]
+                continue
+        host_walk = [hu]
         rode_seam = False
         for a, b in zip(walk, walk[1:]):
-            ha, hb = to_host[a], to_host[b]
-            ia, ib = bag_of[a], bag_of[b]
-            if {ia, ib} == {0, last}:
-                seam_walk = seam[ordered_pair(ha, hb)]
+            d = bag_of[a] - bag_of[b]
+            if -1 <= d <= 1:
+                host_walk.append(to_host[b])
+            elif d == last or d == -last:
+                ha, hb = to_host[a], to_host[b]
+                seam_walk = seam[(ha, hb) if ha < hb else (hb, ha)]
                 host_walk.extend(seam_walk[1:] if seam_walk[0] == ha else seam_walk[-2::-1])
                 rode_seam = True
-            elif abs(ia - ib) <= 1:
-                host_walk.append(hb)
             else:
-                raise AssertionError(f"inner step ({a},{b}) joins non-adjacent bags {ia}, {ib}")
+                raise AssertionError(
+                    f"inner step ({a},{b}) joins non-adjacent bags {bag_of[a]}, {bag_of[b]}")
         if rode_seam:
             host_walk = _shortcut(host_walk)
-        hu, hv = to_host[u], to_host[v]
-        if hu <= hv:
-            paths[(hu, hv)] = tuple(host_walk)
-        else:
-            paths[(hv, hu)] = tuple(host_walk[::-1])
+        paths[key] = tuple(host_walk) if hu < hv else tuple(host_walk[::-1])
     branch = tuple(sorted(to_host[b] for b in inner_branch))
     return branch, paths, tuple(colour)

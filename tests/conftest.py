@@ -23,6 +23,9 @@ the package's reduction to true-twin class representatives.
 ``ref_chordal_peo`` and ``ref_peo_max_clique`` are the maximum-cardinality
 search by a ``max`` over the unvisited vertices with the PEO checked after
 the whole visit, and the clique read off it vertex by vertex.
+``ref_certificate_to_json`` and ``ref_inflation_to_json`` build each
+document as dicts and lists and let ``json.dumps`` write it, the referees
+for the certificate and inflation bytes.
 """
 
 from __future__ import annotations
@@ -35,8 +38,9 @@ from itertools import combinations, permutations
 import hypothesis.strategies as st
 
 from immlab.analysis import find_induced, find_induced_embedding
-from immlab.certificates import ImmersionCertificate, Verdict
+from immlab.certificates import CERT_FORMAT, ImmersionCertificate, Verdict
 from immlab.graphs import FOUR_VERTEX_PATTERNS, GRAPH_FORMAT, Graph, bits, join, pattern
+from immlab.inflation import INFLATION_FORMAT, InflationSpec
 from immlab.oracle import brute_force_immersion
 
 
@@ -86,6 +90,25 @@ def ref_to_text(g: Graph) -> str:
     lines = [f"{g.n} {len(es)}"]
     lines.extend(f"{u} {v}" for u, v in es)
     return "\n".join(lines) + "\n"
+
+
+def ref_certificate_to_json(cert: ImmersionCertificate) -> str:
+    doc = {
+        "format": CERT_FORMAT,
+        "graph_sha256": cert.host_hash,
+        "order": len(cert.branch),
+        "branch": sorted(cert.branch),
+        "paths": [{"u": u, "v": v, "walk": list(w)}
+                  for (u, v), w in sorted(cert.paths.items())],
+    }
+    return json.dumps(doc, separators=(",", ":"))
+
+
+def ref_inflation_to_json(spec: InflationSpec) -> str:
+    doc = {"format": INFLATION_FORMAT,
+           "base": json.loads(spec.base.to_json()),
+           "f": list(spec.sizes)}
+    return json.dumps(doc, separators=(",", ":"))
 
 
 def _ref_bad(reason: str, detail: str) -> Verdict:

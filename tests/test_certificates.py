@@ -29,7 +29,7 @@ from immlab.graphs import (
 from immlab.inflation import inflate, inflate_cycle, inflate_path
 from immlab.oracle import brute_force_immersion
 
-from conftest import graphs, ref_verify_certificate
+from conftest import graphs, ref_certificate_to_json, ref_verify_certificate
 
 
 def k4_star():
@@ -343,3 +343,40 @@ def test_verifier_matches_the_referee_on_fixed_faults(paths):
     cert = ImmersionCertificate(g.sha256(), (0, 1, 2), paths)
     verdict = verify_certificate(g, cert)
     assert verdict == ref_verify_certificate(g, cert) and not verdict.ok
+
+
+# -- the canonical writer against its json.dumps referee ----------------------------
+
+
+@given(host_certificates())
+@settings(max_examples=300, deadline=None)
+def test_certificate_json_matches_the_referee_on_engine_certificates(host):
+    """Direct-clique certificates on parts of maximum cliques of
+    ``graphs(max_n=10)``, path and cycle certificates, and each read back."""
+    _, cert = host
+    text = certificate_to_json(cert)
+    assert text == ref_certificate_to_json(cert)
+    assert certificate_to_json(certificate_from_json(text)) == text
+
+
+@st.composite
+def parsed_certificates(draw):
+    """A certificate read by ``certificate_from_json`` from a document that
+    lists its paths in any order, with any ints and any host-hash string."""
+    ints = st.integers(-2**70, 2**70)
+    keys = draw(st.lists(st.tuples(ints, ints).filter(lambda p: p[0] < p[1]),
+                         max_size=8, unique=True))
+    branch = draw(st.lists(ints, max_size=8))
+    doc = {"format": "immlab-cert-v1",
+           "graph_sha256": draw(st.text() | st.sampled_from(
+               ['"', "\\", 'a"b\\c', "\u00e9\u2603\U0001f600", "\n\x00\x7f"])),
+           "order": len(branch),
+           "branch": branch,
+           "paths": [{"u": u, "v": v, "walk": draw(st.lists(ints, max_size=6))} for u, v in keys]}
+    return certificate_from_json(json.dumps(doc, ensure_ascii=draw(st.booleans())))
+
+
+@given(parsed_certificates())
+@settings(max_examples=300, deadline=None)
+def test_certificate_json_matches_the_referee_on_parsed_certificates(cert):
+    assert certificate_to_json(cert) == ref_certificate_to_json(cert)

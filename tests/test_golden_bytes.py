@@ -209,11 +209,22 @@ def relabelled(hosts, seed):
     return out
 
 
+def mixed_cycle_sizes(k):
+    """Three bag-size shapes for C_k: sizes 1-4 that reach no fresh colour,
+    sizes 1-5 that take the fresh-colour branch at one or more levels (at
+    k = 10 only in the inner 8-cycle, under a level that lifts its walks),
+    and all size-1 bags."""
+    return [tuple(1 + (i * i + k) % 4 for i in range(k)),
+            tuple(1 + (3 * i + k) % 5 for i in range(k)),
+            (1,) * k]
+
+
 #: (engine, fixtures as (host, bags), pinned digest).  "cycle-k9-n256" is the
 #: k = 9 cycle inflation with the fixed bags the inflation-large benchmark
 #: workload analyses; "cycle-k10-13" recurses four or more levels deep and
 #: reaches the fresh-colour branch; "cycle-relabelled" gives the engine bags
-#: that are not runs of consecutive ids.
+#: that are not runs of consecutive ids; "cycle-k5-13-mixed" runs every k
+#: from 5 to 13 on the shapes of ``mixed_cycle_sizes``.
 ENGINE_GOLDEN = {
     "path": ("path", lambda: random_hosts("path", (2, 4, 6, 8, 10)),
              "100fb2c63d49f69d1995ffe02c9cd68169879393a0e66ea85b0563222924138a"),
@@ -224,6 +235,9 @@ ENGINE_GOLDEN = {
                       "1d292497c55be02727e2a8abbba3a9920682db4deda5a7b3404184c9d2506517"),
     "cycle-k10-13": ("cycle", lambda: random_hosts("cycle", range(10, 14), max_bag=5),
                      "fd43653683ad6996d2c662992cc69fc8fe3be2591df1d793cbf45929794a129a"),
+    "cycle-k5-13-mixed": ("cycle", lambda: [inflate(cycle_graph(k), sizes) for k in range(5, 14)
+                                            for sizes in mixed_cycle_sizes(k)],
+                          "7f7f417b42d9cad702ef3eba1326690c96510b43c027df63e76aa261e2f208d6"),
     "cycle-relabelled": ("cycle", lambda: relabelled(random_hosts("cycle", range(3, 10)), 19),
                          "94f3848451006ccea8940462228fe970b7c73739d9b5af6429f81737c3a63a8f"),
 }

@@ -22,7 +22,7 @@ from immlab.inflation import (
     inflation_to_json,
 )
 
-from conftest import count_calls, ref_chromatic_number
+from conftest import count_calls, graphs, ref_chromatic_number, ref_inflation_to_json
 
 
 def proper(g, colouring):
@@ -69,6 +69,14 @@ def test_inflation_json_frozen_and_round_trip():
         inflation_from_json('{"format":"immlab-graph-v1","n":1,"edges":[]}')
     with pytest.raises(ValueError):
         inflation_from_json('{"format":"immlab-inflation-v1","base":null,"f":[1]}')
+
+
+@given(graphs(max_n=8), st.data())
+@settings(max_examples=100, deadline=None)
+def test_inflation_json_matches_the_referee(base, data):
+    sizes = tuple(data.draw(st.lists(st.integers(1, 2**70), min_size=base.n, max_size=base.n)))
+    spec = InflationSpec(base, sizes)
+    assert inflation_to_json(spec) == ref_inflation_to_json(spec)
 
 
 def test_inflation_spec_validates_sizes():

@@ -127,9 +127,114 @@ def _greedy_colouring(g: Graph) -> list[int]:
     return colour
 
 
+def _max_matching(adj: list[int] | tuple[int, ...]) -> list[int]:
+    """Mates of a maximum matching (-1 for unmatched) of the loopless graph
+    with bitset rows ``adj``: Edmonds' blossom algorithm ("Paths, trees, and
+    flowers", 1965) from a greedy lowest-id matching.
+
+    Each unmatched vertex roots one search for an augmenting path; a root
+    that has none stays unmatched for good.  The forest grows over masks of
+    outer and inner vertices, so a vertex is labelled once per search and
+    an outer vertex meets the outer vertices of other blossoms in one mask
+    operation; each blossom keeps the mask of its members under its base.
+    """
+    n = len(adj)
+    mate = [-1] * n
+    free = (1 << n) - 1
+    for v in range(n):
+        cand = adj[v] & free
+        if cand and free >> v & 1:
+            u = (cand & -cand).bit_length() - 1
+            mate[v], mate[u] = u, v
+            free ^= 1 << v | 1 << u
+    for root in bits(free):
+        if not free >> root & 1:
+            continue  # the far end of an earlier augmenting path
+        parent = [-1] * n  # inner vertex (or blossom-path outer) -> tree parent
+        base = list(range(n))
+        members: dict[int, int] = {}  # blossom base -> mask of its vertices
+        outer, labelled = 1 << root, 1 << root
+        queue = [root]
+
+        def mark_path(x: int, top: int, child: int) -> int:
+            # Point the blossom path from outer x up to base ``top`` back
+            # along the new edge; return the bases it passes through.
+            found = 0
+            while base[x] != top:
+                found |= 1 << base[x] | 1 << base[mate[x]]
+                parent[x] = child
+                child = mate[x]
+                x = parent[child]
+            return found
+
+        for v in queue:
+            fresh = adj[v] & ~labelled
+            hit = fresh & free
+            if hit:
+                end = (hit & -hit).bit_length() - 1
+                parent[end] = v
+                free ^= 1 << root | 1 << end
+                while end >= 0:
+                    up = parent[end]
+                    after = mate[up]
+                    mate[end], mate[up] = up, end
+                    end = after
+                break
+            for u in bits(fresh):
+                if labelled >> u & 1:
+                    continue  # an earlier u's mate, now outer: a blossom edge
+                parent[u] = v
+                w = mate[u]
+                outer |= 1 << w
+                labelled |= 1 << u | 1 << w
+                queue.append(w)
+            while True:
+                cand = adj[v] & outer & ~members.get(base[v], 1 << base[v])
+                if not cand:
+                    break
+                u = (cand & -cand).bit_length() - 1
+                seen, a = 0, v  # the bases on v's path to the root
+                while True:
+                    a = base[a]
+                    seen |= 1 << a
+                    if mate[a] < 0:
+                        break
+                    a = parent[mate[a]]
+                top = u
+                while not seen >> base[top] & 1:
+                    top = parent[mate[base[top]]]
+                top = base[top]
+                kept = blossom = members.get(top, 1 << top)
+                for b in bits(mark_path(v, top, u) | mark_path(u, top, v)):
+                    blossom |= members.pop(b, 1 << b)
+                for x in bits(blossom & ~kept):
+                    base[x] = top
+                members[top] = blossom
+                queue.extend(bits(blossom & ~outer))
+                outer |= blossom
+    return mate
+
+
+def _matching_colouring(g: Graph) -> tuple[int, tuple[int, ...]]:
+    """chi = n - nu(complement) with its colouring, for alpha(g) <= 2: every
+    colour class is one vertex or one non-edge, so the classes are the pairs
+    of a maximum matching of the complement plus singletons, each class
+    numbered by its lowest vertex."""
+    mate = _max_matching([g.non_neighbors(v) for v in range(g.n)])
+    colour = [-1] * g.n
+    chi = 0
+    for v in range(g.n):
+        if colour[v] < 0:
+            colour[v] = chi
+            if mate[v] >= 0:
+                colour[mate[v]] = chi
+            chi += 1
+    return chi, tuple(colour)
+
+
 class CliqueProfile(NamedTuple):
     """alpha and omega with witnesses; chi with a colouring, or None for both
-    when n is 0 or above MAX_CHROMATIC_N."""
+    when n is 0, or alpha >= 3 and n is above MAX_CHROMATIC_N."""
 
     alpha: int
     alpha_witness: frozenset[int]
@@ -140,23 +245,35 @@ class CliqueProfile(NamedTuple):
 
 
 def clique_profile(g: Graph) -> CliqueProfile:
-    """alpha, omega and (for 0 < n <= MAX_CHROMATIC_N) chi, each clique
-    search run once: chi's bounds reuse the alpha and omega found here."""
+    """alpha and omega, each clique search run once, then chi: at alpha <= 2
+    from a maximum matching of the complement at any n, otherwise (for
+    0 < n <= MAX_CHROMATIC_N) by a branch and bound whose bounds reuse the
+    alpha and omega found here."""
     alpha, alpha_set = independence_number(g)
     omega, clique = max_clique(g)
     chi, colouring = None, None
-    if 0 < g.n <= MAX_CHROMATIC_N:
+    if g.n and alpha <= 2:
+        chi, colouring = _matching_colouring(g)
+    elif 0 < g.n <= MAX_CHROMATIC_N:
         chi, colouring = _colour(g, alpha, omega, clique)
     return CliqueProfile(alpha, alpha_set, omega, clique, chi, colouring)
 
 
 def chromatic_number(g: Graph) -> tuple[int, tuple[int, ...]]:
-    """Exact chromatic number with a proper-colouring witness (n <= MAX_CHROMATIC_N)."""
-    if g.n > MAX_CHROMATIC_N:
-        raise PreconditionError(
-            f"chromatic_number limited to n <= {MAX_CHROMATIC_N}, got {g.n}")
+    """Exact chromatic number with a proper-colouring witness.
+
+    When ``independent_triple`` finds no independent 3-set, chi is n minus
+    the matching number of the complement, at any n, with no clique search.
+    Otherwise (n <= MAX_CHROMATIC_N) it is ``clique_profile``'s branch and
+    bound.
+    """
     if g.n == 0:
         return 0, ()
+    if independent_triple(g) is None:
+        return _matching_colouring(g)
+    if g.n > MAX_CHROMATIC_N:
+        raise PreconditionError(
+            f"chromatic_number limited to n <= {MAX_CHROMATIC_N} at alpha >= 3, got {g.n}")
     profile = clique_profile(g)
     return profile.chi, profile.colouring
 

@@ -5,7 +5,8 @@ Exit codes: 0 success; 1 a certificate failed verification; 2 invalid input
 or unmet precondition (including certificate/graph hash mismatch); 3 a
 structural claim failed on an input that should satisfy it (a violation
 document is written next to the input); 4 search budget exceeded; 5 internal
-error (a bug in immlab; the traceback goes to stderr).
+error (a bug in immlab; the traceback goes to stderr and, with the command
+and the input path, to ``<input>.crash.json``, or ``crash.json`` for stdin).
 """
 
 from __future__ import annotations
@@ -58,6 +59,8 @@ EXIT_BAD_INPUT = 2
 EXIT_CLAIM_VIOLATION = 3
 EXIT_BUDGET = 4
 EXIT_INTERNAL = 5
+
+CRASH_FORMAT = "immlab-crash-v1"
 
 #: Every ``solve --method`` token: ``auto`` picks among the table's routes.
 METHOD_TOKENS = ("auto", *METHODS)
@@ -321,11 +324,12 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _sidecar_path(args: argparse.Namespace) -> Path:
+def _sidecar_path(args: argparse.Namespace, kind: str, default: str) -> Path:
+    """``<input>.<kind>.json`` next to the input graph, else ``default``."""
     source = getattr(args, "graph", None)
     if source and source != "-":
-        return Path(str(source) + ".violation.json")
-    return Path("claim.violation.json")
+        return Path(f"{source}.{kind}.json")
+    return Path(default)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -333,7 +337,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except ClaimViolation as exc:
-        side = _sidecar_path(args)
+        side = _sidecar_path(args, "violation", "claim.violation.json")
         side.write_text(json.dumps(exc.to_json_doc(), indent=2) + "\n")
         print(f"claim violated: {exc}", file=sys.stderr)
         print(f"violation document written to {side}", file=sys.stderr)
@@ -347,6 +351,14 @@ def main(argv: list[str] | None = None) -> int:
     except Exception:
         print("internal error:", file=sys.stderr)
         traceback.print_exc()
+        doc = {"format": CRASH_FORMAT, "command": args.command,
+               "input": getattr(args, "graph", None),
+               "traceback": traceback.format_exc()}
+        try:
+            _sidecar_path(args, "crash", "crash.json").write_text(
+                json.dumps(doc, indent=2) + "\n")
+        except OSError:
+            pass  # the exit code and the traceback on stderr still report it
         return EXIT_INTERNAL
 
 

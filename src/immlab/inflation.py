@@ -20,8 +20,8 @@ back to its own ids.
 
 ``cycle_inflation_chromatic`` computes the exact chromatic number of a cycle
 inflation in polynomial time by a transfer DP; it is independent of the
-engines and is cross-checked against the general branch-and-bound solver in
-the tests.
+engines and is cross-checked against ``analysis.chromatic_number`` and a
+plain backtracking referee in the tests.
 """
 
 from __future__ import annotations

@@ -23,6 +23,8 @@ the package's reduction to true-twin class representatives.
 ``ref_chordal_peo`` and ``ref_peo_max_clique`` are the maximum-cardinality
 search by a ``max`` over the unvisited vertices with the PEO checked after
 the whole visit, and the clique read off it vertex by vertex.
+``ref_matching_number`` is a DP over vertex subsets, the referee for the
+blossom matching behind the chromatic number at independence <= 2.
 ``ref_certificate_to_json`` and ``ref_inflation_to_json`` build each
 document as dicts and lists and let ``json.dumps`` write it, the referees
 for the certificate and inflation bytes.
@@ -228,6 +230,19 @@ def ref_chromatic_number(g: Graph) -> int:
     while not colourable(t):
         t += 1
     return t
+
+
+def ref_matching_number(g: Graph) -> int:
+    """Maximum matching size by a DP over vertex subsets (n <= 14): the lowest
+    vertex of a subset is left unmatched or matched to one of its neighbours
+    in the subset."""
+    best = [0] * (1 << g.n)
+    for mask in range(1, 1 << g.n):
+        v = (mask & -mask).bit_length() - 1
+        rest = mask & ~(1 << v)
+        best[mask] = max([best[rest]] + [1 + best[rest & ~(1 << u)]
+                                         for u in bits(g.adj[v] & rest)])
+    return best[-1]
 
 
 def ref_is_induced(g: Graph, pat: Graph) -> bool:

@@ -8,11 +8,14 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from immlab import analysis
 from immlab.analysis import (
+    _max_matching,
     _twin_prefix,
     _twin_width,
     chordal_peo,
     chromatic_number,
+    clique_profile,
     find_hole_in_range,
     find_induced,
     find_induced_embedding,
@@ -40,6 +43,7 @@ from immlab.graphs import (
 from immlab.inflation import cycle_inflation_chromatic, inflate
 
 from conftest import (
+    count_calls,
     graphs,
     ref_chordal_peo,
     ref_chromatic_number,
@@ -49,6 +53,7 @@ from conftest import (
     ref_independence_number,
     ref_is_induced,
     ref_masked_embedding,
+    ref_matching_number,
     ref_max_clique_size,
     ref_peo_max_clique,
 )
@@ -169,6 +174,52 @@ def test_clique_and_chromatic_of_joins_with_cliques(g, u):
     h = join(g, complete_graph(u))
     assert max_clique(h)[0] == ref_max_clique_size(g) + u
     assert chromatic_number(h)[0] == ref_chromatic_number(g) + u
+
+
+@given(graphs(max_n=12))
+@settings(max_examples=120)
+def test_max_matching_agrees_with_the_referee(g):
+    mate = _max_matching(g.adj)
+    pairs = {(v, mate[v]) for v in range(g.n) if v < mate[v]}
+    assert all(mate[v] < 0 or mate[mate[v]] == v for v in range(g.n))
+    assert all(g.has_edge(u, v) for u, v in pairs)
+    assert len({v for pair in pairs for v in pair}) == 2 * len(pairs)
+    assert len(pairs) == ref_matching_number(g)
+
+
+@given(st.integers(1, 12), st.integers(0, 10**6), st.integers(0, 3))
+@settings(max_examples=80)
+def test_chromatic_at_alpha_two_agrees_with_backtracking(n, seed, u):
+    """random_alpha2 graphs, and their joins with K_u (kept at n <= 12)."""
+    g = random_alpha2(n, seed)
+    if n + u <= 12:
+        g = join(g, complete_graph(u))
+    chi, colouring = chromatic_number(g)
+    assert chi == ref_chromatic_number(g)
+    assert len(colouring) == g.n and set(colouring) == set(range(chi))
+    assert all(colouring[a] != colouring[b] for a, b in g.edges())
+
+
+def test_chromatic_at_alpha_two_runs_no_clique_search(monkeypatch):
+    counts = count_calls(monkeypatch, analysis, "max_clique", "_colour")
+    for g in (random_alpha2(20, 4), c5_inflation_join(4, complete_graph(4)),
+              c5_inflation_join(14, complete_graph(14))):
+        chromatic_number(g)
+    assert counts == {}
+    # clique_profile searches for alpha and omega, and no more.
+    assert clique_profile(c5_inflation_join(14, complete_graph(14))).chi == 49
+    assert counts == {"max_clique": 2}
+
+
+def test_chromatic_at_alpha_two_above_the_branch_and_bound_gate():
+    chi, colouring = chromatic_number(c5_inflation_join(14, complete_graph(14)))
+    assert chi == cycle_inflation_chromatic((14,) * 5)[0] + 14 == 49
+    assert len(set(colouring)) == chi
+    # Classes are numbered by their lowest vertex.
+    firsts = [colouring.index(c) for c in range(chi)]
+    assert firsts == sorted(firsts)
+    with pytest.raises(PreconditionError, match="alpha >= 3"):
+        chromatic_number(empty_graph(analysis.MAX_CHROMATIC_N + 1))
 
 
 def test_find_induced_embedding_known_hits():

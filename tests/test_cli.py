@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 
 import pytest
@@ -11,7 +12,15 @@ from immlab import analysis, construct
 from immlab.certificates import certificate_from_json, certificate_to_json
 from immlab.errors import BudgetExceeded, ClaimViolation
 from immlab.gen import random_alpha2
-from immlab.graphs import FOUR_VERTEX_PATTERNS, cycle_graph, graph_from_json, pattern
+from immlab.graphs import (
+    FOUR_VERTEX_PATTERNS,
+    complete_graph,
+    cycle_graph,
+    graph_from_json,
+    join,
+    pattern,
+)
+from immlab.inflation import inflate
 
 
 def run(capsys, argv):
@@ -165,6 +174,19 @@ def test_analyze_runs_two_clique_searches(tmp_path, capsys, monkeypatch):
     assert len(calls) == 2
 
 
+@pytest.mark.parametrize("bag, top, chi", [(14, 14, 49), (25, 3, 66)])
+def test_analyze_reports_chi_above_the_branch_and_bound_gate(tmp_path, capsys, bag, top, chi):
+    """At alpha <= 2 chi is n minus the complement's matching number, so
+    ``analyze`` reports it up to the n <= 128 clique gate."""
+    g = join(inflate(cycle_graph(5), (bag,) * 5)[0], complete_graph(top))
+    path = tmp_path / "g.json"
+    path.write_text(g.to_json())
+    code, out, _ = run(capsys, ["analyze", str(path)])
+    report = json.loads(out)
+    assert code == 0 and report["n"] == 5 * bag + top > 24
+    assert report["alpha"] == 2 and report["chi"] == chi
+
+
 def test_analyze_asks_for_an_induced_c4_once(tmp_path, capsys, monkeypatch):
     """At alpha <= 2 the short-hole scan is the [4, 4] scan, and it answers
     ``induced["C4"]`` too: no induced-C4 embedding search runs."""
@@ -315,6 +337,38 @@ def test_internal_error_has_its_own_exit_code(tmp_path, capsys, monkeypatch):
     assert code != cli.EXIT_VERIFY_FAILED
     assert err.startswith("internal error:")
     assert "AssertionError: constructed certificate failed verification" in err
+
+
+def test_internal_error_writes_a_crash_sidecar(tmp_path, capsys, monkeypatch):
+    path = write_c5(tmp_path)
+
+    def boom(g, method):
+        raise RuntimeError("synthetic bug")
+
+    monkeypatch.setattr(cli, "_solve_with_method", boom)
+    code, out, err = run(capsys, ["solve", str(path)])
+    assert code == cli.EXIT_INTERNAL and out == ""
+    assert err.startswith("internal error:") and "RuntimeError: synthetic bug" in err
+    doc = json.loads((tmp_path / "c5.json.crash.json").read_text())
+    assert doc["format"] == "immlab-crash-v1"
+    assert doc["command"] == "solve" and doc["input"] == str(path)
+    assert doc["traceback"].startswith("Traceback")
+    assert doc["traceback"].rstrip().endswith("RuntimeError: synthetic bug")
+
+
+def test_internal_error_on_stdin_writes_crash_json(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("sys.stdin", io.StringIO(cycle_graph(5).to_json()))
+
+    def boom(g):
+        raise RuntimeError("synthetic bug")
+
+    monkeypatch.setattr(cli, "clique_profile", boom)
+    code, _, _ = run(capsys, ["analyze", "-"])
+    assert code == cli.EXIT_INTERNAL
+    doc = json.loads((tmp_path / "crash.json").read_text())
+    assert doc["command"] == "analyze" and doc["input"] == "-"
+    assert "RuntimeError: synthetic bug" in doc["traceback"]
 
 
 def test_missing_file_is_bad_input(capsys):

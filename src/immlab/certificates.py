@@ -7,23 +7,43 @@ for every pair of them, a path in g, such that
   II.  the paths are pairwise edge-disjoint (sharing interior *vertices* is fine),
   III. no branch vertex lies in the interior of any path.
 
-``verify_certificate`` checks branch, keys and vertices, then I (each step
-x -> y against the bitset row ``adj[x]``), II (the steps' edges, one int each,
-all distinct) and III (walk interiors against the branch set), in that order.
+``verify_certificate`` checks the hash and the branch, then runs an accept
+pass, which can only say yes:
+
+* it reads the walks once, in key order, and requires a walk for every pair
+  and no other key;
+* it requires every walk vertex to be an int, since a walk ``(0, True)``
+  equals its key ``(0, 1)``;
+* a walk equal to its key costs one adjacency bit;
+* every other walk is checked vertex by vertex: its ends, repeats and signs,
+  each step x -> y against the bitset row ``adj[x]`` (which also rejects
+  y >= n), and its interior against the branch set.  Only its steps are
+  noted for condition II, one int per edge.
+
+II may skip the one-edge walks.  Each uses the edge between its own two
+branch vertices, and a longer walk whose interior keeps off the branch uses
+no edge between two branch vertices; a longer walk through a branch vertex
+fails the accept pass.
+
+A certificate the accept pass does not accept goes to the audit, the one
+place a fault is named: keys and vertices, then I, II and III, in that
+order, so the first fault in that order is the one named.
 
 The canonical JSON is the compact ``json.dumps`` form of the document
 ``{"format", "graph_sha256", "order", "branch", "paths"}``, with the branch
 sorted and one ``{"u", "v", "walk"}`` object per path in key order.
 ``certificate_to_json`` writes those bytes itself: one f-string per path,
-joined once, the ints by ``str`` and only the host hash by ``json.dumps``,
-so that its escaping is ``json.dumps``'s.
+joined once, the ints by ``str`` (a walk equal to its key from the key) and
+only the host hash by ``json.dumps``, so that its escaping is
+``json.dumps``'s.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import chain, combinations, islice
+from itertools import chain, combinations, compress, islice
+from operator import eq, itemgetter, not_
 from typing import Iterable
 
 from .graphs import Graph, collector_paused
@@ -79,7 +99,51 @@ def verify_certificate(g: Graph, cert: ImmersionCertificate) -> Verdict:
             return _bad("structural", f"branch vertex {v!r} out of range")
     if len(set(branch)) != len(branch):
         return _bad("structural", f"branch vertices not distinct: {branch}")
-    required = list(combinations(sorted(branch), 2))
+    bs = sorted(branch)
+    required = list(combinations(bs, 2))
+    if _accepts(n, adj, bs, required, paths):
+        return Verdict(True)
+    return _audit(n, adj, branch, required, paths)
+
+
+def _accepts(n: int, adj: tuple[int, ...], bs: list[int], required: list[Pair],
+             paths: dict[Pair, Walk]) -> bool:
+    """The accept pass: True only for a valid certificate; False sends it to
+    ``_audit``, which names the fault."""
+    walks = [*map(paths.get, required)]
+    if len(paths) != len(required) or None in walks:
+        return False
+    if not set(map(type, chain.from_iterable(walks))) <= {int}:
+        return False  # (0, True) == (0, 1)
+    # One adjacency bit per branch pair, in the order of ``required``: char b
+    # of the reversed binary string of adj[a] | 1 << n is bit b of adj[a].
+    top = 1 << n
+    bits: list[str] = []
+    for i, a in enumerate(bs):
+        bits += map(bin(adj[a] | top)[:2:-1].__getitem__, bs[i + 1:])
+    one_edge = [*map(eq, walks, required)]
+    if "0" in compress(bits, one_edge):
+        return False
+    bset = set(bs)
+    steps: list[int] = []
+    note = steps.append
+    for (a, b), walk in compress(zip(required, walks), map(not_, one_edge)):
+        if (len(walk) < 2 or walk[0] != a or walk[-1] != b or min(walk) < 0
+                or len(set(walk)) != len(walk) or not bset.isdisjoint(walk[1:-1])):
+            return False
+        x = a
+        for y in walk[1:]:
+            if not adj[x] >> y & 1:  # also false for y >= n
+                return False
+            note(x * n + y if x < y else y * n + x)
+            x = y
+    return len(set(steps)) == len(steps)
+
+
+def _audit(n: int, adj: tuple[int, ...], branch: tuple[int, ...], required: list[Pair],
+           paths: dict[Pair, Walk]) -> Verdict:
+    """Keys and vertices, then conditions I, II and III in order: the first
+    fault found is the one named."""
     legal_keys = set(required)
     vertices = [*chain.from_iterable(paths.values())]
     if not (paths.keys() <= legal_keys and set(map(type, vertices)) <= {int}
@@ -163,8 +227,9 @@ def trim_certificate(cert: ImmersionCertificate, target: int) -> ImmersionCertif
 def certificate_to_json(cert: ImmersionCertificate) -> str:
     """The canonical JSON of a certificate whose vertices are ints, as
     ``certificate_from_json`` reads them (``str(True)`` is not ``true``)."""
-    paths = ",".join(f'{{"u":{u},"v":{v},"walk":[{",".join(map(str, w))}]}}'
-                     for (u, v), w in sorted(cert.paths.items()))
+    paths = ",".join(f'{{"u":{u},"v":{v},"walk":[{u},{v}]}}' if w == (u, v) else
+                     f'{{"u":{u},"v":{v},"walk":[{",".join(map(str, w))}]}}'
+                     for (u, v), w in sorted(cert.paths.items(), key=itemgetter(0)))
     return (f'{{"format":"{CERT_FORMAT}","graph_sha256":{json.dumps(cert.host_hash)},'
             f'"order":{len(cert.branch)},"branch":[{",".join(map(str, sorted(cert.branch)))}],'
             f'"paths":[{paths}]}}')

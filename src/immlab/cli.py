@@ -21,6 +21,7 @@ from pathlib import Path
 from .analysis import (
     MAX_CHROMATIC_N,
     MAX_CLIQUE_N,
+    chromatic_number,
     clique_profile,
     find_hole_in_range,
     find_induced,
@@ -146,6 +147,10 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         report["chi"] = p.chi
     else:
         report.update(alpha=None, omega=None, chi=None)
+        try:  # n - nu(complement) at alpha <= 2; no answer above n = 24 otherwise
+            report["chi"] = chromatic_number(g)[0]
+        except PreconditionError:
+            pass
     # At alpha <= 2 the short-hole scan is the [4, 4] scan: an induced C4.
     c4 = hole if hi == 4 else find_hole_in_range(g, 4, 4)
     induced: dict = {"C4": sorted(c4) if c4 is not None else None}

@@ -28,10 +28,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, repeat
 from typing import Iterable
 
-from .certificates import ImmersionCertificate, Pair, Walk, ordered_pair
+from .certificates import ImmersionCertificate, Pair, Walk
 from .errors import PreconditionError
 from .graphs import MAX_VERTICES, Graph, graph_from_doc, mask_of
 
@@ -155,14 +155,25 @@ def inflate_path(g: Graph, bags: Bags) -> ImmersionCertificate:
 
 def _cross_walks(bags: Bags, paths: dict[Pair, Walk]) -> dict[Pair, Walk]:
     """``paths`` with ``inflate_path``'s paths between the two end bags added,
-    for bags that meet its preconditions."""
-    L = len(bags)
-    rows = [tuple(sorted(b)) for b in bags]
-    for r in range(len(bags[0])):
-        for s in range(len(bags[L - 1])):
-            walk = tuple(rows[j][r if j % 2 == 0 else s] for j in range(L))
-            key = ordered_pair(walk[0], walk[-1])
-            paths[key] = walk if walk[0] == key[0] else walk[::-1]
+    for bags that meet its preconditions, in the order r, then s.
+
+    Walk (r, s) takes the r-th smallest vertex of every odd-position bag (the
+    first, third, ...) and the s-th smallest of every even-position bag, so
+    the walks of one r are the tuples of one ``zip``: each odd-position
+    bag's r-th vertex repeated, beside the even-position bags cut to the
+    last bag's size.  A walk whose first end is the larger is stored
+    reversed, keyed by its ordered ends.
+    """
+    rows = [sorted(b) for b in bags]
+    m = len(rows[-1])
+    for r in range(len(rows[0])):
+        for walk in zip(*[repeat(row[r]) if j % 2 == 0 else row[:m]
+                          for j, row in enumerate(rows)]):
+            a, b = walk[0], walk[-1]
+            if a < b:
+                paths[a, b] = walk
+            else:
+                paths[b, a] = walk[::-1]
     return paths
 
 

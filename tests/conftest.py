@@ -28,6 +28,8 @@ blossom matching behind the chromatic number at independence <= 2.
 ``ref_certificate_to_json`` and ``ref_inflation_to_json`` build each
 document as dicts and lists and let ``json.dumps`` write it, the referees
 for the certificate and inflation bytes.
+``ref_cross_walks`` builds the path engine's cross walks one vertex at a
+time, the referee for their ``zip`` form.
 """
 
 from __future__ import annotations
@@ -174,6 +176,20 @@ def ref_verify_certificate(g: Graph, cert: ImmersionCertificate) -> Verdict:
 
 def edge_key(a: int, b: int) -> tuple[int, int]:
     return (a, b) if a < b else (b, a)
+
+
+def ref_cross_walks(bags, paths: dict) -> dict:
+    """``paths`` with walk (r, s) added for every r-th vertex of the first bag
+    and s-th of the last, built vertex by vertex: the r-th smallest of each
+    odd-position bag, the s-th smallest of each even-position bag."""
+    L = len(bags)
+    rows = [tuple(sorted(b)) for b in bags]
+    for r in range(len(bags[0])):
+        for s in range(len(bags[L - 1])):
+            walk = tuple(rows[j][r if j % 2 == 0 else s] for j in range(L))
+            key = edge_key(walk[0], walk[-1])
+            paths[key] = walk if walk[0] == key[0] else walk[::-1]
+    return paths
 
 
 def ref_has_independent_triple(g: Graph) -> bool:

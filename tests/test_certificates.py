@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -330,19 +331,38 @@ def test_verifier_matches_the_referee_on_tampered_certificates(host, data):
         assert verify_certificate(g, tampered) == ref_verify_certificate(g, tampered)
 
 
-@pytest.mark.parametrize("paths", [
+K6 = complete_graph(6)
+K6_MINUS_12 = Graph.from_edges(6, [e for e in combinations(range(6), 2) if e != (1, 2)])
+
+#: (host, paths on branch (0, 1, 2), the reason and detail where a case pins them).
+FIXED_FAULTS = [
     # Branch vertex 2 inside a path: second of three, third of five, second of four.
-    {(0, 1): (0, 2, 1), (0, 2): (0, 3, 2), (1, 2): (1, 4, 2)},
-    {(0, 1): (0, 3, 2, 4, 1), (0, 2): (0, 2), (1, 2): (1, 2)},
-    {(0, 1): (0, 2, 3, 1), (0, 2): (0, 4, 2), (1, 2): (1, 2)},
+    (K6, {(0, 1): (0, 2, 1), (0, 2): (0, 3, 2), (1, 2): (1, 4, 2)}, None),
+    (K6, {(0, 1): (0, 3, 2, 4, 1), (0, 2): (0, 2), (1, 2): (1, 2)}, None),
+    (K6, {(0, 1): (0, 2, 3, 1), (0, 2): (0, 4, 2), (1, 2): (1, 2)}, None),
     # Edge 3-4 walked in both directions.
-    {(0, 1): (0, 3, 4, 1), (0, 2): (0, 4, 3, 2), (1, 2): (1, 2)},
-])
-def test_verifier_matches_the_referee_on_fixed_faults(paths):
-    g = complete_graph(6)
+    (K6, {(0, 1): (0, 3, 4, 1), (0, 2): (0, 4, 3, 2), (1, 2): (1, 2)}, None),
+    # A walk through branch vertex 2 reuses two one-edge walks: the reuse is
+    # named, although the walk also breaks condition III.
+    (K6, {(0, 1): (0, 2, 1), (0, 2): (0, 2), (1, 2): (1, 2)},
+     ("condition-II", "edge (0, 2) used by paths (0, 1) and (0, 2)")),
+    # A one-edge walk written backwards.
+    (K6, {(0, 1): (1, 0), (0, 2): (0, 2), (1, 2): (1, 2)},
+     ("condition-I", "path (0, 1) does not run 0 -> 1: (1, 0)")),
+    # A wrong end in path (0, 1) is named before the one-edge walk (1, 2)
+    # over a missing edge.
+    (K6_MINUS_12, {(0, 1): (0, 3), (0, 2): (0, 2), (1, 2): (1, 2)},
+     ("condition-I", "path (0, 1) does not run 0 -> 1: (0, 3)")),
+]
+
+
+@pytest.mark.parametrize("g, paths, named", FIXED_FAULTS,
+                         ids=[f"paths{i}" for i in range(len(FIXED_FAULTS))])
+def test_verifier_matches_the_referee_on_fixed_faults(g, paths, named):
     cert = ImmersionCertificate(g.sha256(), (0, 1, 2), paths)
     verdict = verify_certificate(g, cert)
     assert verdict == ref_verify_certificate(g, cert) and not verdict.ok
+    assert named is None or (verdict.reason, verdict.detail) == named
 
 
 # -- the canonical writer against its json.dumps referee ----------------------------

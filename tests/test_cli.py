@@ -187,6 +187,21 @@ def test_analyze_reports_chi_above_the_branch_and_bound_gate(tmp_path, capsys, b
     assert report["alpha"] == 2 and report["chi"] == chi
 
 
+@pytest.mark.parametrize("g, chi", [
+    (inflate(cycle_graph(5), (26,) * 5)[0], 65),    # alpha 2, n = 130
+    (inflate(cycle_graph(7), (19,) * 7)[0], None),  # alpha 3, n = 133
+])
+def test_analyze_reports_chi_above_the_clique_gate(tmp_path, capsys, g, chi):
+    """Above n = 128 ``analyze`` reports no alpha or omega, but chi where
+    ``chromatic_number`` answers: at alpha <= 2, from the matching."""
+    path = tmp_path / "g.json"
+    path.write_text(g.to_json())
+    code, out, _ = run(capsys, ["analyze", str(path)])
+    report = json.loads(out)
+    assert code == 0 and report["n"] > 128
+    assert (report["alpha"], report["omega"], report["chi"]) == (None, None, chi)
+
+
 def test_analyze_asks_for_an_induced_c4_once(tmp_path, capsys, monkeypatch):
     """At alpha <= 2 the short-hole scan is the [4, 4] scan, and it answers
     ``induced["C4"]`` too: no induced-C4 embedding search runs."""

@@ -22,7 +22,13 @@ from immlab.inflation import (
     inflation_to_json,
 )
 
-from conftest import count_calls, graphs, ref_chromatic_number, ref_inflation_to_json
+from conftest import (
+    count_calls,
+    graphs,
+    ref_chromatic_number,
+    ref_cross_walks,
+    ref_inflation_to_json,
+)
 
 
 def proper(g, colouring):
@@ -122,6 +128,31 @@ def test_inflate_path_random_battery():
         assert cert.order == len(bags[0]) + len(bags[-1])
         assert set(cert.branch) == set(bags[0]) | set(bags[-1])
         assert verify_certificate(g, cert).ok
+
+
+@st.composite
+def cross_walk_bags(draw):
+    """2, 4 or 6 disjoint bags meeting ``inflate_path``'s size conditions,
+    their id blocks in any order and with gaps, each bag listed in any order."""
+    L = draw(st.sampled_from((2, 4, 6)))
+    sizes = draw(st.lists(st.integers(1, 5), min_size=L, max_size=L))
+    sizes[-1] = min(sizes[1::2])
+    sizes[0] = min(sizes)
+    start = [0] * L
+    offset = draw(st.integers(0, 3))
+    for i in draw(st.permutations(range(L))):
+        start[i] = offset
+        offset += sizes[i] + draw(st.integers(0, 2))
+    return tuple(tuple(draw(st.permutations(range(start[i], start[i] + sizes[i]))))
+                 for i in range(L))
+
+
+@given(cross_walk_bags())
+@settings(max_examples=300, deadline=None)
+def test_cross_walks_match_the_referee(bags):
+    """Same walks under the same keys, in the same order, whichever end
+    bag holds the higher ids (as on a cycle seam)."""
+    assert list(inflation._cross_walks(bags, {}).items()) == list(ref_cross_walks(bags, {}).items())
 
 
 def test_inflate_cycle_formula_small_k():

@@ -96,17 +96,19 @@ def independent_triple(g: Graph) -> tuple[int, int, int] | None:
     """Lexicographically least independent 3-set, or None (certifying alpha <= 2).
 
     Works at any n the toolkit admits; this is the cheap exact test the
-    constructions use for their alpha <= 2 precondition.
+    constructions use for their alpha <= 2 precondition.  It runs over the
+    lowest member of each of g's true-twin classes.  True twins are
+    adjacent, so an independent triple meets a class at most once, and
+    swapping a vertex for the lowest member of its class gives a smaller
+    triple: the least triple lies among those members.
     """
-    non = [g.non_neighbors(v) for v in range(g.n)]
-    for u in range(g.n):
-        above_u = non[u] >> (u + 1) << (u + 1)
-        for v in bits(above_u):
-            common = non[u] & non[v]
-            common = common >> (v + 1) << (v + 1)
+    reps = _twin_prefix(g, g.vertex_mask, 1)
+    non = [reps & ~row & ~(1 << v) for v, row in enumerate(g.adj)]
+    for u in bits(reps):
+        for v in bits(non[u] >> (u + 1) << (u + 1)):
+            common = (non[u] & non[v]) >> (v + 1) << (v + 1)
             if common:
-                w = (common & -common).bit_length() - 1
-                return (u, v, w)
+                return (u, v, (common & -common).bit_length() - 1)
     return None
 
 
@@ -127,100 +129,123 @@ def _greedy_colouring(g: Graph) -> list[int]:
     return colour
 
 
-def _max_matching(adj: list[int] | tuple[int, ...]) -> list[int]:
+def _max_matching(adj: list[int] | tuple[int, ...], classes: list[int] | tuple[int, ...] = ()
+                  ) -> list[int]:
     """Mates of a maximum matching (-1 for unmatched) of the loopless graph
     with bitset rows ``adj``: Edmonds' blossom algorithm ("Paths, trees, and
-    flowers", 1965) from a greedy lowest-id matching.
+    flowers", 1965) from a greedy matching.
 
-    Each unmatched vertex roots one search for an augmenting path; a root
-    that has none stays unmatched for good.  The forest grows over masks of
-    outer and inner vertices, so a vertex is labelled once per search and
-    an outer vertex meets the outer vertices of other blossoms in one mask
-    operation; each blossom keeps the mask of its members under its base.
+    The greedy start matches each vertex, if still free, to its lowest free
+    neighbour, taking the vertices round robin over ``classes`` (disjoint
+    masks): first the lowest member of each class and every vertex in no
+    class, in id order, then each class's second member, and so on.  On a
+    cycle inflation's complement, with its bags as classes, that spreads
+    each bag over the bags it sees; id order matches whole bags against
+    each other and leaves one bag free.  Every vertex still free then roots
+    one ``_augment`` search; a root that has none stays unmatched for good,
+    so the matching is maximum whatever the start.
     """
     n = len(adj)
+    rank = [0] * n
+    for cls in classes:
+        for r, v in enumerate(bits(cls)):
+            rank[v] = r
     mate = [-1] * n
     free = (1 << n) - 1
-    for v in range(n):
+    for v in sorted(range(n), key=rank.__getitem__):
         cand = adj[v] & free
         if cand and free >> v & 1:
             u = (cand & -cand).bit_length() - 1
             mate[v], mate[u] = u, v
             free ^= 1 << v | 1 << u
     for root in bits(free):
-        if not free >> root & 1:
-            continue  # the far end of an earlier augmenting path
-        parent = [-1] * n  # inner vertex (or blossom-path outer) -> tree parent
-        base = list(range(n))
-        members: dict[int, int] = {}  # blossom base -> mask of its vertices
-        outer, labelled = 1 << root, 1 << root
-        queue = [root]
-
-        def mark_path(x: int, top: int, child: int) -> int:
-            # Point the blossom path from outer x up to base ``top`` back
-            # along the new edge; return the bases it passes through.
-            found = 0
-            while base[x] != top:
-                found |= 1 << base[x] | 1 << base[mate[x]]
-                parent[x] = child
-                child = mate[x]
-                x = parent[child]
-            return found
-
-        for v in queue:
-            fresh = adj[v] & ~labelled
-            hit = fresh & free
-            if hit:
-                end = (hit & -hit).bit_length() - 1
-                parent[end] = v
-                free ^= 1 << root | 1 << end
-                while end >= 0:
-                    up = parent[end]
-                    after = mate[up]
-                    mate[end], mate[up] = up, end
-                    end = after
-                break
-            for u in bits(fresh):
-                if labelled >> u & 1:
-                    continue  # an earlier u's mate, now outer: a blossom edge
-                parent[u] = v
-                w = mate[u]
-                outer |= 1 << w
-                labelled |= 1 << u | 1 << w
-                queue.append(w)
-            while True:
-                cand = adj[v] & outer & ~members.get(base[v], 1 << base[v])
-                if not cand:
-                    break
-                u = (cand & -cand).bit_length() - 1
-                seen, a = 0, v  # the bases on v's path to the root
-                while True:
-                    a = base[a]
-                    seen |= 1 << a
-                    if mate[a] < 0:
-                        break
-                    a = parent[mate[a]]
-                top = u
-                while not seen >> base[top] & 1:
-                    top = parent[mate[base[top]]]
-                top = base[top]
-                kept = blossom = members.get(top, 1 << top)
-                for b in bits(mark_path(v, top, u) | mark_path(u, top, v)):
-                    blossom |= members.pop(b, 1 << b)
-                for x in bits(blossom & ~kept):
-                    base[x] = top
-                members[top] = blossom
-                queue.extend(bits(blossom & ~outer))
-                outer |= blossom
+        if free >> root & 1:  # else the far end of an earlier augmenting path
+            free = _augment(adj, mate, free, root)
     return mate
+
+
+def _augment(adj: list[int] | tuple[int, ...], mate: list[int], free: int, root: int
+             ) -> int:
+    """One search from the free vertex ``root`` for an augmenting path; if
+    one is found, flip it in ``mate``.  Returns the mask of free vertices.
+
+    The forest grows over masks of outer and inner vertices, so a vertex is
+    labelled once per search and an outer vertex meets the outer vertices of
+    other blossoms in one mask operation; each blossom keeps the mask of its
+    members under its base.
+    """
+    n = len(adj)
+    parent = [-1] * n  # inner vertex (or blossom-path outer) -> tree parent
+    base = list(range(n))
+    members: dict[int, int] = {}  # blossom base -> mask of its vertices
+    outer, labelled = 1 << root, 1 << root
+    queue = [root]
+
+    def mark_path(x: int, top: int, child: int) -> int:
+        # Point the blossom path from outer x up to base ``top`` back
+        # along the new edge; return the bases it passes through.
+        found = 0
+        while base[x] != top:
+            found |= 1 << base[x] | 1 << base[mate[x]]
+            parent[x] = child
+            child = mate[x]
+            x = parent[child]
+        return found
+
+    for v in queue:
+        fresh = adj[v] & ~labelled
+        hit = fresh & free
+        if hit:
+            end = (hit & -hit).bit_length() - 1
+            parent[end] = v
+            while end >= 0:
+                up = parent[end]
+                after = mate[up]
+                mate[end], mate[up] = up, end
+                end = after
+            return free ^ (1 << root | hit & -hit)
+        for u in bits(fresh):
+            if labelled >> u & 1:
+                continue  # an earlier u's mate, now outer: a blossom edge
+            parent[u] = v
+            w = mate[u]
+            outer |= 1 << w
+            labelled |= 1 << u | 1 << w
+            queue.append(w)
+        while True:
+            cand = adj[v] & outer & ~members.get(base[v], 1 << base[v])
+            if not cand:
+                break
+            u = (cand & -cand).bit_length() - 1
+            seen, a = 0, v  # the bases on v's path to the root
+            while True:
+                a = base[a]
+                seen |= 1 << a
+                if mate[a] < 0:
+                    break
+                a = parent[mate[a]]
+            top = u
+            while not seen >> base[top] & 1:
+                top = parent[mate[base[top]]]
+            top = base[top]
+            kept = blossom = members.get(top, 1 << top)
+            for b in bits(mark_path(v, top, u) | mark_path(u, top, v)):
+                blossom |= members.pop(b, 1 << b)
+            for x in bits(blossom & ~kept):
+                base[x] = top
+            members[top] = blossom
+            queue.extend(bits(blossom & ~outer))
+            outer |= blossom
+    return free
 
 
 def _matching_colouring(g: Graph) -> tuple[int, tuple[int, ...]]:
     """chi = n - nu(complement) with its colouring, for alpha(g) <= 2: every
     colour class is one vertex or one non-edge, so the classes are the pairs
     of a maximum matching of the complement plus singletons, each class
-    numbered by its lowest vertex."""
-    mate = _max_matching([g.non_neighbors(v) for v in range(g.n)])
+    numbered by its lowest vertex.  g's true twins are false twins of the
+    complement, and its twin classes steer the matching's greedy start."""
+    mate = _max_matching([g.non_neighbors(v) for v in range(g.n)], _twin_classes(g))
     colour = [-1] * g.n
     chi = 0
     for v in range(g.n):
@@ -363,9 +388,17 @@ def _twin_prefix(g: Graph, within: int, t: int) -> int:
     return within
 
 
-def _twin_width(h: Graph) -> int:
-    """Size of h's largest true-twin class."""
-    return max((cls.bit_count() for cls in _twin_classes(h)), default=1)
+def _induced_plan(h: Graph) -> tuple[int, tuple[tuple[bool, ...], ...]]:
+    """h's search plan, kept on h the way ``_twin_classes`` is: the size of
+    its largest true-twin class, and per position i whether each later
+    position is adjacent to i, listed from the last position down to i + 1."""
+    plan = h.__dict__.get("_induced_plan")
+    if plan is None:
+        width = max((cls.bit_count() for cls in _twin_classes(h)), default=1)
+        plan = (width, tuple(tuple(bool(row >> j & 1) for j in range(h.n - 1, i, -1))
+                             for i, row in enumerate(h.adj)))
+        object.__setattr__(h, "_induced_plan", plan)
+    return plan
 
 
 def find_induced_embedding(g: Graph, h: Graph, within: int | None = None
@@ -380,6 +413,14 @@ def find_induced_embedding(g: Graph, h: Graph, within: int | None = None
     gate counts the vertices of ``within``.  The constructions ask for
     induced cycles through ``find_hole_in_range``, which has no gate, and
     for the other patterns here.
+
+    The DFS is one loop over an explicit stack.  Each position's candidates
+    are taken in ascending id order, and each candidate v narrows every
+    later position's mask by its row ``adj[v]`` or by its masked
+    non-neighbourhood, both computed once per candidate, as h's plan says;
+    the first empty mask rejects v.  A candidate at the next-to-last
+    position that leaves the last mask non-empty ends the search with that
+    mask's lowest vertex.
 
     The DFS returns the lexicographically least phi, and runs only over the
     t lowest members of each of g's true-twin classes that ``within`` meets,
@@ -399,34 +440,44 @@ def find_induced_embedding(g: Graph, h: Graph, within: int | None = None
             f"n <= {MAX_HOST_5PATTERN}, got {n}")
     if n < h.n:
         return None
-    within = _twin_prefix(g, within, _twin_width(h))
-    phi: list[int] = []
-
-    def extend(cands: list[int]) -> tuple[int, ...] | None:
-        i = len(phi)
-        if i == h.n:
-            return tuple(phi)
-        for v in bits(cands[i]):
-            narrowed = list(cands)
-            ok = True
-            for j in range(i + 1, h.n):
-                if h.has_edge(i, j):
-                    narrowed[j] &= g.adj[v]
-                else:
-                    narrowed[j] &= within & ~g.adj[v] & ~(1 << v)
-                if not narrowed[j]:
-                    ok = False
-                    break
-            if not ok:
+    width, plan = _induced_plan(h)
+    within = _twin_prefix(g, within, width)
+    adj, last = g.adj, h.n - 1
+    if not last:
+        return ((within & -within).bit_length() - 1,)
+    phi = [0] * h.n
+    # Position i's untried candidates, and the later positions' masks (the
+    # last position first), saved while the DFS is below i.
+    saved_c, saved_rest = [0] * last, [[]] * last
+    i, c, rest, later = 0, within, [within] * last, plan[0]
+    while True:
+        if c:
+            low = c & -c
+            c ^= low
+            a = adj[low.bit_length() - 1]
+            if i == last - 1:
+                m = rest[0] & (a if later[0] else within & ~a ^ low)
+                if m:
+                    phi[i], phi[last] = low.bit_length() - 1, (m & -m).bit_length() - 1
+                    return tuple(phi)
                 continue
-            phi.append(v)
-            got = extend(narrowed)
-            if got is not None:
-                return got
-            phi.pop()
-        return None
-
-    return extend([within] * h.n)
+            na = within & ~a ^ low
+            narrowed = []
+            for adjacent, m in zip(later, rest):
+                m &= a if adjacent else na
+                if not m:
+                    break
+                narrowed.append(m)
+            else:
+                phi[i] = low.bit_length() - 1
+                saved_c[i], saved_rest[i] = c, rest
+                i += 1
+                c, rest, later = narrowed.pop(), narrowed, plan[i]
+        elif i:
+            i -= 1
+            c, rest, later = saved_c[i], saved_rest[i], plan[i]
+        else:
+            return None
 
 
 def find_induced(g: Graph, h: Graph) -> frozenset[int] | None:

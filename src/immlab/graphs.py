@@ -10,6 +10,7 @@ from __future__ import annotations
 import gc
 import hashlib
 import json
+import re
 from dataclasses import dataclass
 from functools import wraps
 from itertools import combinations, compress
@@ -20,6 +21,7 @@ MAX_VERTICES = 4096
 GRAPH_FORMAT = "immlab-graph-v1"
 
 _BITS = bytes.maketrans(b"01", b"\0\1")   # binary digits -> compress selectors
+_INTEGERS = re.compile(r"-?[0-9]+(?: -?[0-9]+)*")   # space-separated ASCII integers
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -218,18 +220,24 @@ def graph_from_doc(doc: object) -> Graph:
 
 
 def graph_from_text(text: str) -> Graph:
-    """Parse the whitespace edge-list format (``n m`` header, m endpoint pairs)."""
+    """Parse the whitespace edge-list format (``n m`` header, m endpoint pairs).
+
+    Tokens are ASCII decimal integers, with an optional leading ``-`` so that
+    a negative id reaches the range check; ``int``'s wider syntax (``1_0``,
+    ``+1``, non-ASCII digits) is rejected.
+    """
     tokens = text.split()
     if len(tokens) < 2:
         raise ValueError("missing 'n m' header")
-    try:
-        numbers = [int(t) for t in tokens]
-    except ValueError as exc:
-        raise ValueError(f"non-integer token in edge list: {exc}") from exc
-    n, m = numbers[0], numbers[1]
-    if len(numbers) != 2 + 2 * m:
-        raise ValueError(f"header promises {m} edges but {(len(numbers) - 2) / 2} given")
-    return Graph.from_edges(n, zip(numbers[2::2], numbers[3::2]))
+    if not _INTEGERS.fullmatch(" ".join(tokens)):
+        bad = next(t for t in tokens if not _INTEGERS.fullmatch(t))
+        raise ValueError(f"non-integer token in edge list: {bad!r}")
+    numbers = list(map(int, tokens))
+    n, m, ends = numbers[0], numbers[1], numbers[2:]
+    if len(ends) != 2 * m:
+        dangling = f", and a dangling endpoint {ends[-1]}" if len(ends) % 2 else ""
+        raise ValueError(f"header promises {m} edges but {len(ends) // 2} given{dangling}")
+    return Graph.from_edges(n, zip(ends[::2], ends[1::2]))
 
 
 # -- standard graphs --------------------------------------------------------

@@ -25,6 +25,8 @@ search by a ``max`` over the unvisited vertices with the PEO checked after
 the whole visit, and the clique read off it vertex by vertex.
 ``ref_matching_number`` is a DP over vertex subsets, the referee for the
 blossom matching behind the chromatic number at independence <= 2.
+``ref_independent_triple`` is the triple test's loop over every vertex,
+without the reduction to twin class representatives.
 ``ref_certificate_to_json`` and ``ref_inflation_to_json`` build each
 document as dicts and lists and let ``json.dumps`` write it, the referees
 for the certificate and inflation bytes.
@@ -196,6 +198,18 @@ def ref_has_independent_triple(g: Graph) -> bool:
     return any(
         not g.has_edge(a, b) and not g.has_edge(a, c) and not g.has_edge(b, c)
         for a, b, c in combinations(range(g.n), 3))
+
+
+def ref_independent_triple(g: Graph):
+    """The lexicographically least independent 3-set, or None: for each
+    u < v non-adjacent, the lowest w > v that misses both."""
+    non = [g.non_neighbors(v) for v in range(g.n)]
+    for u in range(g.n):
+        for v in bits(non[u] >> (u + 1) << (u + 1)):
+            common = (non[u] & non[v]) >> (v + 1) << (v + 1)
+            if common:
+                return (u, v, (common & -common).bit_length() - 1)
+    return None
 
 
 def ref_independence_number(g: Graph) -> int:

@@ -10,9 +10,10 @@ from hypothesis import given, settings, strategies as st
 
 from immlab import analysis
 from immlab.analysis import (
+    _induced_plan,
     _max_matching,
+    _twin_classes,
     _twin_prefix,
-    _twin_width,
     chordal_peo,
     chromatic_number,
     clique_profile,
@@ -51,6 +52,7 @@ from conftest import (
     ref_find_induced_embedding,
     ref_has_independent_triple,
     ref_independence_number,
+    ref_independent_triple,
     ref_is_induced,
     ref_masked_embedding,
     ref_matching_number,
@@ -279,15 +281,15 @@ def test_masked_induced_search_gates_on_the_searched_vertices():
 
 
 @st.composite
-def twin_hosts(draw):
-    """A random graph (independence at most 2 or arbitrary) with each vertex
-    blown up into a clique of 1-4 true twins, its ids shuffled, and a random
-    vertex mask or None."""
+def twin_hosts(draw, max_base=8, max_bag=4):
+    """A random graph (independence at most 2 on up to ``max_base`` vertices,
+    or arbitrary on one fewer) with each vertex blown up into a clique of 1 to
+    ``max_bag`` true twins, its ids shuffled, and a random vertex mask or None."""
     if draw(st.booleans()):
-        base = random_alpha2(draw(st.integers(1, 8)), draw(st.integers(0, 10**6)))
+        base = random_alpha2(draw(st.integers(1, max_base)), draw(st.integers(0, 10**6)))
     else:
-        base = draw(graphs(max_n=7, min_n=1))
-    g, _ = inflate(base, tuple(draw(st.lists(st.integers(1, 4), min_size=base.n,
+        base = draw(graphs(max_n=max_base - 1, min_n=1))
+    g, _ = inflate(base, tuple(draw(st.lists(st.integers(1, max_bag), min_size=base.n,
                                              max_size=base.n))))
     perm = draw(st.permutations(range(g.n)))
     g = Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
@@ -315,7 +317,7 @@ def test_hole_scan_returns_the_referee_hole(host):
 
 
 def test_twin_widths_of_the_catalogue():
-    widths = {name: _twin_width(pattern(name)) for name in PATTERN_EDGES}
+    widths = {name: _induced_plan(pattern(name))[0] for name in PATTERN_EDGES}
     assert widths == {"C4": 1, "P4": 1, "C5": 1, "house": 1, "paw": 2, "twoK2": 2,
                       "K4minus": 2, "owh": 2, "K3v": 3, "K4": 4}
 
@@ -354,7 +356,7 @@ def test_k4minus_search_on_two_cliques_covers_four_vertices():
     """On 2K_300 the K4minus search runs over two twins per clique and finds
     no copy (the unreduced DFS took 53 s on this graph)."""
     g = two_k300()
-    assert _twin_prefix(g, g.vertex_mask, _twin_width(pattern("K4minus"))) == mask_of(
+    assert _twin_prefix(g, g.vertex_mask, _induced_plan(pattern("K4minus"))[0]) == mask_of(
         (0, 1, 300, 301))
     start = time.perf_counter()
     assert find_induced_embedding(g, pattern("K4minus")) is None
@@ -481,3 +483,52 @@ def test_chordal_peo_returns_the_referee_answers_on_chordal_graphs(g, within):
     within = None if within is None else within & g.vertex_mask
     assert chordal_peo(g, within) is not None
     assert_chordal_answers_match_the_referees(g, within)
+
+
+def test_induced_search_reads_the_pattern_through_its_kept_plan(monkeypatch):
+    """The search asks the pattern no ``has_edge``: it reads h's plan, built
+    once and kept on h."""
+    g = random_alpha2(24, 5)
+    plans = {name: _induced_plan(pattern(name)) for name in PATTERN_EDGES}
+    counts = count_calls(monkeypatch, Graph, "has_edge")
+    found = [find_induced_embedding(g, pattern(name)) for name in PATTERN_EDGES]
+    assert counts["has_edge"] == 0
+    assert found == [ref_find_induced_embedding(g, pattern(name)) for name in PATTERN_EDGES]
+    assert all(_induced_plan(pattern(name)) is plans[name] for name in PATTERN_EDGES)
+
+
+@given(twin_hosts())
+@settings(max_examples=150, deadline=None)
+def test_independent_triple_returns_the_referee_triple(host):
+    """Testing twin-class representatives returns exactly the least triple
+    of the loop over every vertex."""
+    g, _ = host
+    assert independent_triple(g) == ref_independent_triple(g)
+
+
+@given(twin_hosts(max_base=6, max_bag=2))
+@settings(max_examples=120, deadline=None)
+def test_matching_from_the_twin_start_is_maximum(host):
+    """The complement's matching from the round-robin start over g's twin
+    classes, as ``chromatic_number`` runs it, is a maximum matching."""
+    g, _ = host
+    co = g.complement()
+    mate = _max_matching(co.adj, _twin_classes(g))
+    pairs = {(v, mate[v]) for v in range(g.n) if v < mate[v]}
+    assert all(mate[v] < 0 or mate[mate[v]] == v for v in range(g.n))
+    assert all(co.has_edge(u, v) for u, v in pairs)
+    assert len(pairs) == ref_matching_number(co)
+
+
+def test_twin_start_leaves_one_augmenting_search_on_a_cycle_inflation(monkeypatch):
+    """On the complement of C5[K20] the id-order start matches bag 0 against
+    bag 2 and bag 1 against bag 3, which leaves bag 4's 20 vertices to 10
+    augmenting searches; the round robin over the bags leaves one."""
+    g, _ = inflate(cycle_graph(5), (20,) * 5)
+    rows = [g.non_neighbors(v) for v in range(g.n)]
+    counts = count_calls(monkeypatch, analysis, "_augment")
+    by_id = _max_matching(rows)
+    assert counts["_augment"] == 10
+    by_twins = _max_matching(rows, _twin_classes(g))
+    assert counts["_augment"] == 11
+    assert sum(m >= 0 for m in by_id) == sum(m >= 0 for m in by_twins) == 100

@@ -64,6 +64,36 @@ def test_analyze_rejects_garbage(tmp_path, capsys):
     assert err.strip()
 
 
+@pytest.mark.parametrize("token", ["1_0", "+1", "\u0663", "1.0"])
+def test_text_input_takes_ascii_decimal_tokens_only(tmp_path, capsys, token):
+    path = tmp_path / "bad.txt"
+    path.write_text(f"3 1\n{token} 2\n", encoding="utf-8")
+    code, out, err = run(capsys, ["analyze", str(path)])
+    assert code == cli.EXIT_BAD_INPUT and not out
+    assert err == f"error: non-integer token in edge list: {token!r}\n"
+
+
+@pytest.mark.parametrize("body, message", [
+    ("0 1\n1 2\n2\n", "header promises 2 edges but 2 given, and a dangling endpoint 2"),
+    ("0 1\n1\n", "header promises 2 edges but 1 given, and a dangling endpoint 1"),
+    ("0 1\n", "header promises 2 edges but 1 given"),
+])
+def test_text_input_counts_whole_edges(tmp_path, capsys, body, message):
+    path = tmp_path / "short.txt"
+    path.write_text("3 2\n" + body)
+    code, out, err = run(capsys, ["analyze", str(path)])
+    assert code == cli.EXIT_BAD_INPUT and not out
+    assert err == f"error: {message}\n"
+
+
+def test_text_input_keeps_negative_ids_for_the_range_check(tmp_path, capsys):
+    path = tmp_path / "negative.txt"
+    path.write_text("3 1\n-1 2\n")
+    code, _, err = run(capsys, ["analyze", str(path)])
+    assert code == cli.EXIT_BAD_INPUT
+    assert err == "error: edge (-1,2) out of range for n=3\n"
+
+
 def test_solve_auto_writes_cert_and_dot(tmp_path, capsys):
     path = write_c5(tmp_path)
     cert_path = tmp_path / "c5.cert.json"

@@ -12,7 +12,8 @@ The routines and their guarantees:
 * ``hole_free_immersion``      -- no hole of length in [4, 2*alpha]: order chi(g).
 * ``house_free_immersion``     -- house-free, alpha <= 2: order exactly ceil(n/2).
 * ``owh_free_immersion``       -- no triangle-with-tail, alpha <= 2: ceil(n/2).
-* ``k4_free_immersion``        -- K4-free, alpha <= 2 (so n <= 8): ceil(n/2).
+* ``k4_free_immersion``        -- K4-free, alpha <= 2 (so n <= 8): ceil(n/2),
+                                  found by the exhaustive oracle.
 * ``k4minus_free_clique``      -- K4-minus-an-edge-free, alpha <= 2: a two-clique
                                   partition (when one exists) and a ceil(n/2) clique.
 * ``pattern_free_immersion``   -- any one 4-vertex pattern excluded: ceil(n/2).
@@ -43,7 +44,7 @@ set, so no step copies or rescans the sub-certificate.
 from __future__ import annotations
 
 from functools import partial
-from itertools import combinations, permutations
+from itertools import combinations
 from typing import Callable
 
 from . import inflation
@@ -68,7 +69,7 @@ from .certificates import (
 )
 from .errors import ClaimViolation, PreconditionError
 from .graphs import FOUR_VERTEX_PATTERNS, Graph, bits, mask_of, pattern
-from .oracle import OracleBudget, max_immersion_order
+from .oracle import OracleBudget, brute_force_immersion, max_immersion_order
 
 #: A partition of the vertex set into two cliques (the second may be empty).
 TwoCliques = tuple[frozenset[int], frozenset[int]]
@@ -207,15 +208,6 @@ def _base_case(g: Graph, live: int) -> ImmersionCertificate | None:
     if g.is_clique(live):
         return trim_certificate(direct_clique_certificate(g, bits(live)), need)
     return None
-
-
-def _cycle_k3(g: Graph, cycle: tuple[int, ...]) -> ImmersionCertificate:
-    """K3 immersion riding a cycle: two short edges plus the long arc."""
-    paths: dict[Pair, Walk] = {}
-    _emit(g, g.vertex_mask, paths, [cycle[0], cycle[1]])
-    _emit(g, g.vertex_mask, paths, [cycle[1], cycle[2]])
-    _emit(g, g.vertex_mask, paths, [cycle[0], *cycle[:1:-1]])
-    return ImmersionCertificate(g.sha256(), tuple(sorted(cycle[:3])), paths)
 
 
 # -- hole-free graphs: immersion of K_chi --------------------------------------------
@@ -706,90 +698,26 @@ def _p4_step(g: Graph, live: int) -> tuple[tuple[int, ...], partial] | None:
 
 
 def k4_free_immersion(g: Graph) -> ImmersionCertificate:
-    """K_{ceil(n/2)} immersion for K4-free graphs with independence <= 2."""
+    """K_{ceil(n/2)} immersion for K4-free graphs with independence <= 2,
+    found by exhaustive search (R(3, 4) = 9 keeps the class at n <= 8)."""
     _require_alpha_at_most_two(g)
     _require_pattern_free(g, "K4")
     return _k4_free_inner(g)
 
 
-def _k4_free_inner(g: Graph, live: int | None = None) -> ImmersionCertificate:
-    """The construction of ``k4_free_immersion`` on a prefix mask (default all of g)."""
-    live = g.vertex_mask if live is None else live
-    n = live.bit_count()
-    if n > 8:
+def _k4_free_inner(g: Graph) -> ImmersionCertificate:
+    """The construction of ``k4_free_immersion``: the oracle's search at
+    order ceil(n/2), whose miss on this class would be a counterexample."""
+    if g.n > 8:
         raise ClaimViolation(
             "a K4-free graph with independence number at most 2 cannot have "
             "nine or more vertices", graph=g)
-    base = _base_case(g, live)
-    if base is not None:
-        return base
-    if n == 5:
-        omega, clique = max_clique(g, live)
-        if omega >= 3:
-            return direct_clique_certificate(g, sorted(clique)[:3])
-        cyc = find_hole_in_range(g, 4, 5, live)
-        if cyc is None:
-            raise ClaimViolation(
-                "triangle-free 5-vertex graph with independence <= 2 must "
-                "carry a cycle", graph=g)
-        return _cycle_k3(g, cyc)
-    if n in (6, 8):
-        return _k4_free_inner(g, live >> 1)
-    return _k4_on_seven(g)
-
-
-def _k4_on_seven(g: Graph) -> ImmersionCertificate:
-    """K4 immersion on 7 vertices: a triangle plus one vertex routed to it.
-
-    Enumerates (triangle, ordered non-adjacent pair, triangle labelling)
-    until the workable configuration appears: a2 sees two triangle corners
-    directly and reaches the third through a1 or through the leftover
-    vertices.  One fits on every 7-vertex K4-free graph with independence
-    <= 2 (the test suite enumerates all of them); none fitting is a
-    ``ClaimViolation``.
-    """
-    verts = range(7)
-    for tri in combinations(verts, 3):
-        if not g.is_clique(mask_of(tri)):
-            continue
-        others = [v for v in verts if v not in tri]
-        for x, y in combinations(others, 2):
-            if g.has_edge(x, y):
-                continue
-            for b1, b2 in ((x, y), (y, x)):
-                for m1, m2, m3 in permutations(tri):
-                    if not (g.has_edge(b1, m1) and g.has_edge(b2, m2)
-                            and g.has_edge(b2, m3) and not g.has_edge(b1, m3)
-                            and not g.has_edge(b2, m1)):
-                        continue
-                    spare = [v for v in others if v not in (b1, b2)]
-                    route = None
-                    for c in spare:
-                        if g.has_edge(b1, c) and g.has_edge(b2, c):
-                            route = [b2, c, b1, m1]
-                            break
-                    if route is None:
-                        for c3, c4 in permutations(spare, 2):
-                            if not (g.has_edge(b1, c3) and g.has_edge(b2, c4)
-                                    and not g.has_edge(b1, c4)
-                                    and not g.has_edge(b2, c3)):
-                                continue
-                            if g.has_edge(c3, c4):
-                                route = [b2, c4, c3, b1, m1]
-                                break
-                    if route is None:
-                        continue
-                    paths: dict[Pair, Walk] = {}
-                    for u, v in combinations(sorted(tri), 2):
-                        _emit(g, g.vertex_mask, paths, [u, v])
-                    _emit(g, g.vertex_mask, paths, [b2, m2])
-                    _emit(g, g.vertex_mask, paths, [b2, m3])
-                    _emit(g, g.vertex_mask, paths, route)
-                    branch = tuple(sorted(tri + (b2,)))
-                    return ImmersionCertificate(g.sha256(), branch, paths)
-    raise ClaimViolation(
-        "no triangle-plus-routed-vertex configuration fits a 7-vertex K4-free "
-        "graph with independence <= 2", graph=g)
+    cert = brute_force_immersion(g, half_ceil(g.n))
+    if cert is None:
+        raise ClaimViolation(
+            "exhaustive search finds no ceil(n/2) immersion in a K4-free graph "
+            "with independence <= 2", graph=g)
+    return cert
 
 
 # -- K4-minus-an-edge-free graphs --------------------------------------------------------
@@ -798,7 +726,8 @@ def _k4_on_seven(g: Graph) -> ImmersionCertificate:
 def k4minus_free_clique(g: Graph) -> tuple[ImmersionCertificate, TwoCliques | None]:
     """For graphs with independence <= 2 and no induced K4-minus-an-edge:
     a ceil(n/2) clique certificate, plus a partition of the vertices into two
-    cliques whenever the graph is not a plain 5-cycle (which has none).
+    cliques whenever the graph is not a plain 5-cycle (which has none, and
+    whose K3 immersion comes from the K4-free route's exhaustive search).
     """
     _require_alpha_at_most_two(g)
     _require_pattern_free(g, "K4minus")
@@ -813,7 +742,7 @@ def _k4minus_build(g: Graph) -> tuple[ImmersionCertificate, TwoCliques | None]:
     five = find_hole_in_range(g, 5, 5)
     if five is not None:
         if n == 5:
-            return _cycle_k3(g, five), None
+            return _k4_free_inner(g), None  # a plain 5-cycle is K4-free
         raise ClaimViolation(
             "an induced 5-cycle inside a larger graph forces the forbidden "
             "K4-minus-an-edge", graph=g, context={"cycle": sorted(five)})
@@ -876,8 +805,9 @@ def pattern_free_immersion(g: Graph, pattern_name: str) -> ImmersionCertificate:
 
     Dispatch: C4-free graphs are hole-free; P4- or paw-free graphs are
     house-free (the house contains both); twoK2- or K3v-free graphs avoid the
-    triangle-with-tail (it contains both); K4 and K4-minus go to their own
-    small-graph constructions.  The result is trimmed to exactly ceil(n/2)
+    triangle-with-tail (it contains both); K4-minus-free graphs split into
+    two cliques (a plain 5-cycle excepted); K4-free graphs have n <= 8 and go
+    to the exhaustive oracle.  The result is trimmed to exactly ceil(n/2)
     and re-verified before returning.
     """
     if pattern_name not in FOUR_VERTEX_PATTERNS:

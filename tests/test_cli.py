@@ -10,7 +10,7 @@ import pytest
 import immlab.cli as cli
 from immlab import analysis, construct
 from immlab.certificates import certificate_from_json, certificate_to_json
-from immlab.errors import BudgetExceeded, ClaimViolation
+from immlab.errors import BudgetExceeded, ClaimViolation, PreconditionError
 from immlab.gen import random_alpha2
 from immlab.graphs import (
     FOUR_VERTEX_PATTERNS,
@@ -143,6 +143,19 @@ def test_solve_rejects_inapplicable_method(tmp_path, capsys):
     assert code == cli.EXIT_BAD_INPUT
     code, _, err = run(capsys, ["solve", str(path), "--method", "sorcery"])
     assert code == cli.EXIT_BAD_INPUT
+
+
+def test_k4_route_rejects_nine_vertices_by_an_induced_k4(tmp_path, capsys):
+    """R(3, 4) = 9: at independence 2, nine vertices hold a K4, which the
+    route's precondition names before its n <= 8 gate is reached."""
+    path = tmp_path / "g.json"
+    for seed in range(4):
+        g = random_alpha2(9, seed)
+        with pytest.raises(PreconditionError, match="induced K4 on"):
+            construct.k4_free_immersion(g)
+        path.write_text(g.to_json())
+        code, _, err = run(capsys, ["solve", str(path), "--method", "k4"])
+        assert code == cli.EXIT_BAD_INPUT and "induced K4 on" in err
 
 
 def test_method_help_and_error_list_every_route(tmp_path, capsys):

@@ -22,7 +22,6 @@ from immlab.certificates import (
 from immlab.cli import _solve_with_method
 from immlab.construct import (
     _k4_free_inner,
-    _k4_on_seven,
     auto_immersion,
     extend_over_dominating_c4,
     extend_over_dominating_c5,
@@ -437,17 +436,19 @@ def triangle_free_rows(n, max_alpha):
     return grow([])
 
 
-def test_k4_on_seven_fits_every_k4_free_alpha2_graph():
-    """The direct configuration fits all 13,842 labelled 7-vertex K4-free
-    graphs with independence <= 2: the complements of the triangle-free
-    graphs with independence <= 3."""
-    full = (1 << 7) - 1
-    count = 0
-    for rows in triangle_free_rows(7, 3):
-        g = Graph(7, tuple(full ^ r ^ 1 << v for v, r in enumerate(rows)))
-        checked(g, _k4_on_seven(g), 4)
-        count += 1
-    assert count == 13_842
+@pytest.mark.parametrize("n, count", [(5, 322), (6, 2_812), (7, 13_842)])
+def test_k4_free_immersion_fits_every_labelled_graph(n, count):
+    """The route answers every labelled K4-free graph with independence <= 2
+    on n vertices at order ceil(n/2): the complements of the triangle-free
+    graphs with independence <= 3.  At n = 8 the circulant and the battery
+    stand in for the 17,640 labelled graphs, which take about 4 s."""
+    full = (1 << n) - 1
+    seen = 0
+    for rows in triangle_free_rows(n, 3):
+        g = Graph(n, tuple(full ^ r ^ 1 << v for v, r in enumerate(rows)))
+        checked(g, k4_free_immersion(g), half_ceil(n))
+        seen += 1
+    assert seen == count
 
 
 def test_k4_free_inner_rejects_nine_vertices():
@@ -470,14 +471,17 @@ def test_k4minus_plain_5_cycle_has_no_partition():
     checked(cycle_graph(5), cert, 3)
 
 
-def test_k4minus_5_cycle_keeps_the_hole_scans_cyclic_order():
-    """On every labelled 5-cycle the induced-C5 search lists the cycle in the
-    order the hole scan does, so the K3 riding it is the same certificate."""
+def test_k4minus_every_labelled_5_cycle_has_no_partition():
+    """All 12 labelled 5-cycles, reached from the 120 vertex orders: no
+    two-clique partition and a verified order-3 certificate."""
+    cycles = set()
     for perm in permutations(range(5)):
         g = Graph.from_edges(5, [(perm[i], perm[(i + 1) % 5]) for i in range(5)])
         cert, parts = k4minus_free_clique(g)
         assert parts is None
-        assert cert == construct._cycle_k3(g, analysis.find_hole_in_range(g, 4, 5))
+        checked(g, cert, 3)
+        cycles.add(g.adj)
+    assert len(cycles) == 12
 
 
 @pytest.mark.parametrize("host, searches", [

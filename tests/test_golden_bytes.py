@@ -76,7 +76,7 @@ GOLDEN = {
     "forbholes": "2bec3473dd8be9afbb0641bd1bb05971fe7c1c5a32245c8b1d6dba977081b156",
     "house": "83a9b59c45ed0d0a1e683d06d3dfeb48d36e8a59970c0a5b18e0c09664be3942",
     "owh": "ab28e5543d5f8e65fcaff5e076869d04734fdc70b98e73e60856710a42fd5730",
-    "k4": "4e31e2fe2a6a28ae2f8f3605af264e8840a11ac6b6efef337378700b5e63ce68",
+    "k4": "fea516c54e793be945ae5836250b4dcf022f5dbd6dcc53793b0f13999c5166f9",
     "k4minus": "ac652ea93adeeb875ecf04f9efd41f47d537787dc18a9efb05af244637c2c160",
     "oracle": "4d6e3d793c3c00af7e9dcc8a0515e0533756b4221ccea7e7958ff53d46caa809",
     "auto": "3944f3087257005abcd5b2d00d5baa54f4edefe0d51f72f1362418085e038be6",
@@ -86,7 +86,7 @@ GOLDEN = {
     "vergara:twoK2": "5cf0d4408d112afa9e9610b5651f32d055a0ca0faf5327c7a5440d5e9a942af8",
     "vergara:K3v": "640b2d01a67480b60adcbc3ead7ec519f60c868890addb4169a55fef5a302246",
     "vergara:K4minus": "fb9834b5efb77f3b0a5d83bc588ab5b7c030dba6fe8b06817301fb5739934446",
-    "vergara:K4": "4e31e2fe2a6a28ae2f8f3605af264e8840a11ac6b6efef337378700b5e63ce68",
+    "vergara:K4": "fea516c54e793be945ae5836250b4dcf022f5dbd6dcc53793b0f13999c5166f9",
 }
 
 def co_cycles_and_paths():

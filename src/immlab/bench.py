@@ -178,7 +178,8 @@ def case_two_clique(seed: int) -> dict:
             p1, p2 = parts
             covers = (p1 | p2 == set(range(g.n))) and not (p1 & p2)
             cliques = g.is_clique(mask_of(p1)) and g.is_clique(mask_of(p2))
-            detail["ok"] = detail["ok"] and covers and cliques
+            larger_first = len(p1) >= len(p2) and cert.branch == tuple(sorted(p1))
+            detail["ok"] = detail["ok"] and covers and cliques and larger_first
             detail["partition"] = [sorted(p1), sorted(p2)]
         return detail
     return _run_case("two-clique", seed, body)

@@ -15,7 +15,8 @@ The routines and their guarantees:
 * ``k4_free_immersion``        -- K4-free, alpha <= 2 (so n <= 8): ceil(n/2),
                                   found by the exhaustive oracle.
 * ``k4minus_free_clique``      -- K4-minus-an-edge-free, alpha <= 2: a two-clique
-                                  partition (when one exists) and a ceil(n/2) clique.
+                                  partition (when one exists) with the largest
+                                  possible side first, which is the clique.
 * ``pattern_free_immersion``   -- any one 4-vertex pattern excluded: ceil(n/2).
 * ``auto_immersion``           -- the first excluded 4-vertex pattern's route,
                                   else the exhaustive oracle.
@@ -167,8 +168,9 @@ def _emit(g: Graph, live: int, paths: dict[Pair, Walk], walk: list[int]) -> None
     paths[key] = tuple(walk) if walk[0] == key[0] else tuple(reversed(walk))
 
 
-def _clique_non_neighbours(g: Graph, live: int, v: int) -> int:
-    """The non-neighbourhood of v in ``live``, which independence <= 2 makes a clique."""
+def _escape_clique(g: Graph, live: int, v: int) -> ImmersionCertificate:
+    """The non-neighbourhood of v in ``live``, which independence <= 2 makes a
+    clique and which must have ceil(n/2) vertices here."""
     nbar = live & g.non_neighbors(v)
     for u in bits(nbar):
         gap = nbar & ~g.adj[u] & ~(1 << u)
@@ -178,12 +180,6 @@ def _clique_non_neighbours(g: Graph, live: int, v: int) -> int:
                 "two common non-neighbours are themselves non-adjacent "
                 "(independence number exceeds 2)",
                 graph=g, context={"triple": (v, u, w)})
-    return nbar
-
-
-def _escape_clique(g: Graph, live: int, v: int) -> ImmersionCertificate:
-    """The non-neighbourhood of v in ``live``, which must be a ceil(n/2)-clique here."""
-    nbar = _clique_non_neighbours(g, live, v)
     need = half_ceil(live.bit_count())
     members = sorted(bits(nbar))
     if len(members) < need:
@@ -725,9 +721,11 @@ def _k4_free_inner(g: Graph) -> ImmersionCertificate:
 
 def k4minus_free_clique(g: Graph) -> tuple[ImmersionCertificate, TwoCliques | None]:
     """For graphs with independence <= 2 and no induced K4-minus-an-edge:
-    a ceil(n/2) clique certificate, plus a partition of the vertices into two
-    cliques whenever the graph is not a plain 5-cycle (which has none, and
-    whose K3 immersion comes from the K4-free route's exhaustive search).
+    a partition of the vertices into two cliques, the larger first, and the
+    clique certificate of that whole first side, which is the largest side
+    over all two-clique partitions (so at least ceil(n/2)).  A plain 5-cycle
+    has no partition: it gets None and its K3 immersion from the K4-free
+    route's exhaustive search.
     """
     _require_alpha_at_most_two(g)
     _require_pattern_free(g, "K4minus")
@@ -735,50 +733,40 @@ def k4minus_free_clique(g: Graph) -> tuple[ImmersionCertificate, TwoCliques | No
 
 
 def _k4minus_build(g: Graph) -> tuple[ImmersionCertificate, TwoCliques | None]:
-    n = g.n
-    if g.is_clique(g.vertex_mask):
-        full = frozenset(range(n))
-        return direct_clique_certificate(g, range(n)), (full, frozenset())
-    five = find_hole_in_range(g, 5, 5)
-    if five is not None:
-        if n == 5:
-            return _k4_free_inner(g), None  # a plain 5-cycle is K4-free
-        raise ClaimViolation(
-            "an induced 5-cycle inside a larger graph forces the forbidden "
-            "K4-minus-an-edge", graph=g, context={"cycle": sorted(five)})
-
-    x = min(range(n), key=lambda v: (g.degree(v), v))
-    nbar = _clique_non_neighbours(g, g.vertex_mask, x)
-    nx = g.adj[x]
-    if g.is_clique(nx):
-        part1 = frozenset(bits(nx)) | {x}
-        part2 = frozenset(bits(nbar))
-    else:
-        # The lowest neighbour's closed neighbourhood cuts N(x) in two.
-        low = nx & -nx
-        ca = nx & (g.adj[low.bit_length() - 1] | low)
-        cb = nx & ~ca
-        if not (g.is_clique(ca) and g.is_clique(cb)) or any(g.adj[v] & cb for v in bits(ca)):
-            raise ClaimViolation(
-                "a non-clique neighbourhood must split into two cliques with no "
-                "edge between them (else it forces the forbidden pattern)",
-                graph=g, context={"vertex": x, "split": (sorted(bits(ca)), sorted(bits(cb)))})
-        if all(nbar & ~g.adj[v] == 0 for v in bits(ca)):
-            part1 = frozenset(bits(ca | nbar))
-            part2 = frozenset(bits(cb)) | {x}
-        elif all(nbar & ~g.adj[v] == 0 for v in bits(cb)):
-            part1 = frozenset(bits(cb | nbar))
-            part2 = frozenset(bits(ca)) | {x}
-        else:
-            raise ClaimViolation(
-                "neither neighbourhood clique is fully joined to the "
-                "non-neighbourhood (forces an induced 5-cycle)",
-                graph=g, context={"vertex": x})
-    for part in (part1, part2):
-        if not g.is_clique(mask_of(part)):
-            raise AssertionError("assembled part is not a clique")
-    big = part1 if len(part1) >= len(part2) else part2
-    return direct_clique_certificate(g, big), (part1, part2)
+    """Two cliques of g are the colour classes of a proper 2-colouring of its
+    complement, which independence <= 2 makes triangle-free and the missing
+    K4-minus-an-edge (whose complement is K2 + 2K1) makes bipartite unless g
+    is a plain 5-cycle.  Each complement component puts its larger side (its
+    first side on ties) into the first clique, the largest any partition has."""
+    first = second = 0
+    left = g.vertex_mask
+    while left:
+        frontier = left & -left
+        sides = [frontier, 0]
+        k = 0
+        while frontier:
+            reach = 0
+            for v in bits(frontier):
+                row = g.non_neighbors(v)
+                clash = row & sides[k]
+                if clash:
+                    if g.n == 5:
+                        return _k4_free_inner(g), None  # a plain 5-cycle is K4-free
+                    raise ClaimViolation(
+                        "the complement has an odd cycle through a non-edge inside "
+                        "one side, which forces the forbidden K4-minus-an-edge",
+                        graph=g, context={"non_edge": (v, next(bits(clash)))})
+                reach |= row
+            k ^= 1
+            frontier = reach & ~(sides[0] | sides[1])
+            sides[k] |= frontier
+        big, small = sorted(sides, key=int.bit_count, reverse=True)
+        first, second = first | big, second | small
+        left &= ~(big | small)
+    if not (g.is_clique(first) and g.is_clique(second)):
+        raise AssertionError("assembled part is not a clique")
+    parts = frozenset(bits(first)), frozenset(bits(second))
+    return direct_clique_certificate(g, parts[0]), parts
 
 
 # -- one excluded 4-vertex pattern: the ceil(n/2) bound --------------------------------------

@@ -204,7 +204,8 @@ def test_criterion_09_two_clique_partitions():
             for side in parts:
                 assert all(u == v or g.has_edge(u, v)
                            for u in side for v in side)
-            assert max(len(a), len(b)) >= half_ceil(n)
+            assert len(a) >= len(b) and len(a) >= half_ceil(n)
+            assert cert.branch == tuple(sorted(a))
 
 
 def test_criterion_10_cli_round_trip_and_tamper(tmp_path, capsys):

@@ -11,7 +11,7 @@ import immlab.cli as cli
 from immlab import analysis, construct
 from immlab.certificates import certificate_from_json, certificate_to_json
 from immlab.errors import BudgetExceeded, ClaimViolation, PreconditionError
-from immlab.gen import random_alpha2
+from immlab.gen import random_alpha2, random_hfree_alpha2
 from immlab.graphs import (
     FOUR_VERTEX_PATTERNS,
     complete_graph,
@@ -131,6 +131,18 @@ def test_solve_k4minus_reports_partition(tmp_path, capsys):
     assert code == 0
     report = json.loads(out)
     assert sorted(map(sorted, report["partition"])) == [[0, 1, 2], [3, 4, 5]]
+
+
+def test_solve_k4minus_reports_the_larger_side_first(tmp_path, capsys):
+    """The paw (edges 01, 02, 03, 23) splits as {0, 2, 3} + {1} or
+    {0, 1} + {2, 3}; the route takes the triangle, at order 3."""
+    path = tmp_path / "paw.json"
+    path.write_text(random_hfree_alpha2("K4minus", 4, 2).to_json())
+    code, out, _ = run(capsys, ["solve", str(path), "--method", "k4minus"])
+    assert code == 0
+    report = json.loads(out)
+    assert report["order"] == 3
+    assert report["partition"] == [[0, 2, 3], [1]]
 
 
 def test_solve_rejects_inapplicable_method(tmp_path, capsys):

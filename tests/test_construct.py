@@ -56,7 +56,7 @@ from immlab.graphs import (
 from immlab.inflation import cycle_inflation_chromatic, inflate, inflate_cycle
 from immlab.oracle import OracleBudget, brute_force_immersion
 
-from conftest import complement_join, count_calls, p4_free_join, ref_auto_token
+from conftest import complement_join, count_calls, p4_free_join, ref_auto_token, ref_is_induced
 
 
 def checked(g, cert, order):
@@ -484,19 +484,58 @@ def test_k4minus_every_labelled_5_cycle_has_no_partition():
     assert len(cycles) == 12
 
 
-@pytest.mark.parametrize("host, searches", [
-    (lambda: cycle_graph(5), 1),
-    (lambda: complete_graph(5), 0),
-    (lambda: random_hfree_alpha2("K4minus", 9, 9), 1),
+@pytest.mark.parametrize("host", [
+    lambda: cycle_graph(5),
+    lambda: complete_graph(5),
+    lambda: random_hfree_alpha2("K4minus", 9, 9),
 ], ids=["C5", "K5", "random-9"])
-def test_k4minus_build_asks_for_an_induced_c5_once(monkeypatch, host, searches):
-    """The C5 test is one [5, 5] hole scan, not an induced-pattern search."""
+def test_k4minus_build_makes_no_hole_scan_or_induced_search(monkeypatch, host):
+    """The partition is a 2-colouring of the complement, so the build asks
+    for no induced cycle and no induced pattern."""
     g = host()
     counts = count_calls(monkeypatch, construct, "find_induced_embedding",
                          "find_hole_in_range")
     construct._k4minus_build(g)
-    assert counts["find_hole_in_range"] == searches
+    assert counts["find_hole_in_range"] == 0
     assert counts["find_induced_embedding"] == 0
+
+
+def test_k4minus_build_names_an_odd_complement_cycle():
+    """Past the preconditions a complement odd cycle is a counterexample
+    unless n = 5: on the complement of C7 the 2-colouring meets the
+    non-edge 3-4 inside one side."""
+    with pytest.raises(ClaimViolation) as exc:
+        construct._k4minus_build(cycle_graph(7).complement())
+    assert exc.value.context["non_edge"] == (3, 4)
+
+
+@pytest.mark.parametrize("n, count", [(1, 1), (2, 2), (3, 7), (4, 35), (5, 183), (6, 752)])
+def test_k4minus_partition_is_the_best_on_every_labelled_graph(n, count):
+    """Every labelled K4-minus-free graph with independence <= 2 on n
+    vertices (a complement of a triangle-free graph): no partition exactly on
+    the 12 labelled 5-cycles; else two cliques covering the vertices, the
+    larger first and taken as the branch set, whose order is the largest side
+    over all two-clique splits."""
+    full = (1 << n) - 1
+    seen = cycles = 0
+    for rows in triangle_free_rows(n, n + 1):
+        g = Graph(n, tuple(full ^ r ^ 1 << v for v, r in enumerate(rows)))
+        if ref_is_induced(g, pattern("K4minus")):
+            continue
+        seen += 1
+        cert, parts = k4minus_free_clique(g)
+        assert verify_certificate(g, cert).ok
+        if parts is None:
+            assert n == 5 and all(g.degree(v) == 2 for v in range(n))
+            cycles += 1
+            continue
+        a, b = parts
+        assert a | b == set(range(n)) and not a & b and len(a) >= len(b)
+        assert g.is_clique(mask_of(a)) and g.is_clique(mask_of(b))
+        assert cert.branch == tuple(sorted(a))
+        assert cert.order == max(m.bit_count() for m in range(1 << n)
+                                 if g.is_clique(m) and g.is_clique(full ^ m))
+    assert (seen, cycles) == (count, 12 if n == 5 else 0)
 
 
 def test_k4minus_complete_graph():
@@ -523,13 +562,13 @@ def test_k4minus_split_neighbourhood():
 
 
 def test_k4minus_prism_exercises_component_split():
-    # Triangular prism: the minimum-degree vertex has a disconnected
-    # neighbourhood, so the partition comes from the two-component analysis.
+    # Triangular prism: the complement is one 6-cycle, whose 2-colouring
+    # gives the two triangles; on the tie the side of vertex 0 comes first.
     g = Graph.from_edges(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5),
                              (0, 3), (1, 4), (2, 5)])
     cert, parts = k4minus_free_clique(g)
-    assert parts == (frozenset({3, 4, 5}), frozenset({0, 1, 2}))
-    assert cert.branch == (3, 4, 5)
+    assert parts == (frozenset({0, 1, 2}), frozenset({3, 4, 5}))
+    assert cert.branch == (0, 1, 2)
     checked(g, cert, 3)
 
 

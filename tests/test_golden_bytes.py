@@ -109,10 +109,10 @@ DEEP_GOLDEN = {
 }
 
 K4MINUS_PARTS = [
-    ([0, 4], [1, 2, 3, 5]),
-    ([3, 4, 5], [0, 1, 2, 6]),
+    ([1, 2, 3, 5], [0, 4]),
+    ([0, 1, 2, 6], [3, 4, 5]),
     ([0, 4, 6, 7], [1, 2, 3, 5]),
-    ([1, 5, 6, 8], [0, 2, 3, 4, 7]),
+    ([0, 2, 3, 4, 7], [1, 5, 6, 8]),
     ([0, 1, 2, 3, 4, 5, 6, 7, 8, 9], []),
 ]
 

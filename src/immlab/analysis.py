@@ -25,71 +25,102 @@ def max_clique(g: Graph, within: int | None = None) -> tuple[int, frozenset[int]
     """Maximum clique size and one witness (branch and bound, colour bound)
     among the vertices of the mask ``within`` (host ids; default all).
 
-    The search runs on a relabelled copy in non-increasing degree order,
-    ties to the lower id (Tomita & Seki's MCQ initial order): vertices that
-    see almost everything take the first greedy colours, so they are
-    branched on last and pruned at once.
+    The search runs over the lowest member of each of g's true-twin classes
+    that ``within`` meets, and weighs it by the size of its class inside
+    ``within``.  That loses no answer: true twins are adjacent and see the
+    same other vertices, so a clique that meets a class can take all of it,
+    and a maximum clique is a union of whole classes, as heavy as its
+    members' clique among the lowest members.  The witness is that union.
+    The n <= MAX_CLIQUE_N gate counts the vertices the search runs over.
+
+    The search is Tomita & Seki's MCQ with weights.  It runs on a relabelled
+    copy in non-increasing degree order in g[within], ties to the lower id:
+    vertices that see almost everything take the first greedy colours, so
+    they are branched on last and pruned at once.  A greedy colour class is
+    independent, so a clique holds at most one of its members: each class
+    adds the largest weight it holds to the bound.  On a host without twins
+    every weight is 1 and the bound is the colour count.
     """
     within = g.vertex_mask if within is None else within
-    n = within.bit_count()
+    reps = _twin_prefix(g, within, 1)
+    n = reps.bit_count()
     if n > MAX_CLIQUE_N:
-        raise PreconditionError(f"max_clique limited to n <= {MAX_CLIQUE_N}, got {n}")
+        raise PreconditionError(f"max_clique limited to n <= {MAX_CLIQUE_N} true-twin "
+                                f"class representatives, got {n}")
     if n == 0:
         return 0, frozenset()
-    by_degree = sorted(bits(within), key=[-(row & within).bit_count()
-                                          for row in g.adj].__getitem__)
+    members = {}  # representative -> its class inside ``within``
+    for cls in _twin_classes(g):
+        rest = cls & within
+        if rest:
+            members[(rest & -rest).bit_length() - 1] = rest
+    by_degree = sorted(bits(reps), key=lambda v: -(g.adj[v] & within).bit_count())
+    classes = [members.get(old, 1 << old) for old in by_degree]
+    weight = [cls.bit_count() for cls in classes]
     label = [0] * g.n
     for new, old in enumerate(by_degree):
         label[old] = 1 << new
     adj = []
     for old in by_degree:
         row = 0
-        rest = g.adj[old] & within
+        rest = g.adj[old] & reps
         while rest:
             low = rest & -rest
             row |= label[low.bit_length() - 1]
             rest ^= low
         adj.append(row)
-    best_mask = 1  # relabelled vertex 0 alone; any vertex is a 1-clique
-    best_size = 1
+    best_mask = 1  # relabelled vertex 0's class alone is a clique
+    best_size = weight[0]
 
     def expand(r_mask: int, r_size: int, cand: int) -> None:
         nonlocal best_mask, best_size
-        # Greedy-colour the candidates; a vertex's colour number bounds the
-        # clique extension possible from it and everything coloured earlier.
+        # Greedy-colour the candidates; a vertex's bound (the largest weight
+        # of its colour class and of each earlier one) bounds the clique
+        # extension possible from it and everything coloured earlier.
         order: list[int] = []
         bound: list[int] = []
         uncoloured = cand
-        colour = 0
+        total = 0
         while uncoloured:
-            colour += 1
+            top = 0
             avail = uncoloured
             while avail:
                 low = avail & -avail
                 v = low.bit_length() - 1
                 avail &= ~adj[v] & ~low
                 uncoloured ^= low
+                if weight[v] > top:
+                    top = weight[v]
                 order.append(v)
-                bound.append(colour)
+                bound.append(total + top)
+            total += top
         for i in range(len(order) - 1, -1, -1):
             if r_size + bound[i] <= best_size:
                 return
             v = order[i]
             new_cand = cand & adj[v]
             if new_cand:
-                expand(r_mask | (1 << v), r_size + 1, new_cand)
-            elif r_size + 1 > best_size:
-                best_size = r_size + 1
+                expand(r_mask | (1 << v), r_size + weight[v], new_cand)
+            elif r_size + weight[v] > best_size:
+                best_size = r_size + weight[v]
                 best_mask = r_mask | (1 << v)
             cand &= ~(1 << v)
 
     expand(0, 0, (1 << n) - 1)
-    return best_size, frozenset(by_degree[v] for v in bits(best_mask))
+    witness = 0
+    for v in bits(best_mask):
+        witness |= classes[v]
+    return best_size, frozenset(bits(witness))
 
 
 def independence_number(g: Graph) -> tuple[int, frozenset[int]]:
-    """alpha(g) with a witness independent set."""
-    return max_clique(g.complement())
+    """alpha(g) with a witness independent set: a maximum clique of the
+    complement over the lowest member of each of g's true-twin classes.
+    True twins are adjacent, so an independent set meets a class at most
+    once and can swap its member for the lowest.  Among those vertices the
+    complement's true twins are g's false twins (equal open
+    neighbourhoods), and ``max_clique`` weighs each by its class size."""
+    return max_clique(g.complement(), _twin_prefix(g, g.vertex_mask, 1))
 
 
 def independent_triple(g: Graph) -> tuple[int, int, int] | None:

@@ -732,12 +732,15 @@ def k4minus_free_clique(g: Graph) -> tuple[ImmersionCertificate, TwoCliques | No
     return _k4minus_build(g)
 
 
-def _k4minus_build(g: Graph) -> tuple[ImmersionCertificate, TwoCliques | None]:
+def _k4minus_build(g: Graph, keep: int | None = None
+                   ) -> tuple[ImmersionCertificate, TwoCliques | None]:
     """Two cliques of g are the colour classes of a proper 2-colouring of its
     complement, which independence <= 2 makes triangle-free and the missing
     K4-minus-an-edge (whose complement is K2 + 2K1) makes bipartite unless g
     is a plain 5-cycle.  Each complement component puts its larger side (its
-    first side on ties) into the first clique, the largest any partition has."""
+    first side on ties) into the first clique, the largest any partition has.
+    The certificate is the clique certificate of the first clique's ``keep``
+    lowest ids (default all of it)."""
     first = second = 0
     left = g.vertex_mask
     while left:
@@ -766,7 +769,7 @@ def _k4minus_build(g: Graph) -> tuple[ImmersionCertificate, TwoCliques | None]:
     if not (g.is_clique(first) and g.is_clique(second)):
         raise AssertionError("assembled part is not a clique")
     parts = frozenset(bits(first)), frozenset(bits(second))
-    return direct_clique_certificate(g, parts[0]), parts
+    return direct_clique_certificate(g, list(bits(first))[:keep]), parts
 
 
 # -- one excluded 4-vertex pattern: the ceil(n/2) bound --------------------------------------
@@ -782,7 +785,7 @@ _PATTERN_BUILDERS: dict[str, Callable[[Graph], ImmersionCertificate]] = {
     "paw": _house_free_inner,
     "twoK2": _owh_free_inner,
     "K3v": _owh_free_inner,
-    "K4minus": lambda g: _k4minus_build(g)[0],
+    "K4minus": lambda g: _k4minus_build(g, half_ceil(g.n))[0],
     "K4": _k4_free_inner,
 }
 

@@ -125,6 +125,67 @@ def test_independence_number_agrees_with_enumeration(g):
     assert independence_number(g)[0] == ref_independence_number(g)
 
 
+@st.composite
+def twin_rich_hosts(draw):
+    """A base graph on at most 7 vertices inflated with bags of 1-4 (at most
+    14 vertices in all, so the referees stay cheap), joined to K_u when room
+    is left, and a vertex mask: all of it or a random subset."""
+    base = draw(graphs(max_n=7, min_n=1))
+    room = 14 - base.n
+    sizes = []
+    for _ in range(base.n):
+        extra = draw(st.integers(0, min(3, room)))
+        sizes.append(1 + extra)
+        room -= extra
+    g, _ = inflate(base, tuple(sizes))
+    u = draw(st.integers(0, min(3, room)))
+    if u:
+        g = join(g, complete_graph(u))
+    within = draw(st.one_of(st.just(g.vertex_mask), st.integers(0, g.vertex_mask)))
+    return g, within
+
+
+@given(twin_rich_hosts())
+@settings(max_examples=120)
+def test_max_clique_agrees_with_enumeration_on_twin_rich_hosts(host):
+    g, within = host
+    size, witness = max_clique(g, within)
+    sub, _ = g.induced_subgraph(bits(within))
+    assert size == ref_max_clique_size(sub) == len(witness)
+    assert mask_of(witness) & ~within == 0 and g.is_clique(mask_of(witness))
+
+
+@given(twin_rich_hosts())
+@settings(max_examples=120)
+def test_independence_number_agrees_with_enumeration_on_twin_rich_hosts(host):
+    g, within = host
+    g, _ = g.induced_subgraph(bits(within))
+    size, witness = independence_number(g)
+    assert size == ref_independence_number(g) == len(witness)
+    assert g.is_independent(mask_of(witness))
+
+
+def test_clique_searches_above_n_128_on_six_twin_classes():
+    """C5[K40] joined to K56 has 256 vertices but six true-twin classes, and
+    the clique gate counts the classes' lowest members."""
+    g = c5_inflation_join(40, complete_graph(56))
+    omega, clique = max_clique(g)
+    alpha, independent = independence_number(g)
+    assert (omega, alpha) == (136, 2)
+    assert len(clique) == 136 and g.is_clique(mask_of(clique))
+    assert len(independent) == 2 and g.is_independent(mask_of(independent))
+
+
+def test_clique_gate_counts_twin_class_representatives():
+    g = cycle_graph(129)  # no true or false twins: 129 representatives
+    with pytest.raises(PreconditionError, match="got 129"):
+        max_clique(g)
+    with pytest.raises(PreconditionError, match="got 129"):
+        independence_number(g)
+    assert max_clique(g, g.vertex_mask >> 1)[0] == 2
+    assert max_clique(cycle_graph(200), ((1 << 129) - 1) & ~1)[0] == 2  # ids 1..128
+
+
 def test_independent_triple_is_lex_least():
     assert independent_triple(cycle_graph(7)) == (0, 2, 4)
     assert independent_triple(complete_graph(6)) is None

@@ -213,9 +213,9 @@ def test_analyze_runs_two_clique_searches(tmp_path, capsys, monkeypatch):
     calls = []
     real = analysis.max_clique
 
-    def counting(g):
+    def counting(g, within=None):
         calls.append(g.n)
-        return real(g)
+        return real(g, within)
 
     monkeypatch.setattr(analysis, "max_clique", counting)
     path = tmp_path / "g.json"

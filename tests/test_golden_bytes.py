@@ -340,7 +340,7 @@ WITNESS_GOLDEN = {
 #: complement's matching; it differs from the n <= 24 gate's ``"chi": null``
 #: report in that line only.
 ANALYZE_GOLDEN = {
-    "c5k20-k20": "1fcaa71dd287701e3d9f6e6bf10ecd27e3cfb3436aac5c02df74a3258e96fe13",
+    "c5k20-k20": "55a3daf1ba5cfb58976ac06aff9ebb2c88e9217f20f6ea98e9afb650ae4f9ab8",
     "c9-n256": "cfdd639e22b1d6bd850b071566a3316e4725f1e54a79614d1830e6455fe7219c",
 }
 

@@ -10,7 +10,6 @@ traceback -- while any other exception is a plain bug and propagates.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from typing import Callable
 
@@ -205,16 +204,10 @@ SUITES: dict[str, Callable[[int], dict]] = {
 ALL_SUITES = tuple(SUITES)
 
 
-def run_suite(name: str, count: int = 10, start_seed: int = 0,
-              jobs: int = 1) -> dict:
-    """Run ``count`` seeded cases of one suite, optionally across processes."""
+def run_suite(name: str, count: int = 10, start_seed: int = 0) -> dict:
+    """Run ``count`` seeded cases of one suite."""
     case = SUITES[name]
-    seeds = range(start_seed, start_seed + count)
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(case, seeds))
-    else:
-        reports = [case(seed) for seed in seeds]
+    reports = [case(seed) for seed in range(start_seed, start_seed + count)]
     passed = sum(1 for r in reports if r["ok"])
     return {
         "suite": name,

@@ -29,8 +29,10 @@ Each public route and each public extension step checks its preconditions
 once, then calls a private builder (``_extend_c4`` and ``_extend_articulated``
 for the steps, which grow the checked sub-certificate's path dict in place);
 callers that have proved a builder's precondition call it directly.  The
-C4 route's builder, ``_hole_free``, is its own C4 test: at independence 2
-its hole scan finds any induced C4.
+C4 route's builder is ``hole_free_immersion``, trimmed to ceil(n/2): at
+independence 2 its one hole scan is its own C4 test.  No route verifies its
+own certificate; ``immlab solve`` does that once, where the certificate
+leaves the program.
 
 Every builder works on the input graph and a mask ``live`` of the vertices
 it builds over, in the input's own ids: no route copies a subgraph, hashes a
@@ -66,7 +68,6 @@ from .certificates import (
     direct_clique_certificate,
     ordered_pair,
     trim_certificate,
-    verify_certificate,
 )
 from .errors import ClaimViolation, PreconditionError
 from .graphs import FOUR_VERTEX_PATTERNS, Graph, bits, mask_of, pattern
@@ -186,7 +187,7 @@ def _escape_clique(g: Graph, live: int, v: int) -> ImmersionCertificate:
         raise ClaimViolation(
             "overloaded vertex's non-neighbourhood is too small",
             graph=g, context={"vertex": v, "non_neighbours": members, "need": need})
-    return trim_certificate(direct_clique_certificate(g, members), need)
+    return direct_clique_certificate(g, members[:need])
 
 
 def _base_case(g: Graph, live: int) -> ImmersionCertificate | None:
@@ -196,13 +197,13 @@ def _base_case(g: Graph, live: int) -> ImmersionCertificate | None:
     n = live.bit_count()
     need = half_ceil(n)
     if n <= 4:
-        cert = direct_clique_certificate(g, max_clique(g, live)[1])
-        if cert.order < need:
+        clique = sorted(max_clique(g, live)[1])
+        if len(clique) < need:
             raise ClaimViolation("tiny graph with independence <= 2 lacks a "
                                  "half-order clique", graph=g)
-        return trim_certificate(cert, need)
+        return direct_clique_certificate(g, clique[:need])
     if g.is_clique(live):
-        return trim_certificate(direct_clique_certificate(g, bits(live)), need)
+        return direct_clique_certificate(g, list(bits(live))[:need])
     return None
 
 
@@ -218,21 +219,9 @@ def hole_free_immersion(g: Graph) -> ImmersionCertificate:
     and g is an exact inflation of that odd cycle joined with universal
     vertices, which certifies alpha and the precondition.  The cycle engine's
     immersion, trimmed to chi of the inflation, plus the universal vertices
-    as direct branch vertices has order chi(g).
+    as direct branch vertices has order chi(g).  At independence 2 the
+    build's one hole scan is also the C4 route's C4 test.
     """
-    peo = chordal_peo(g)
-    if peo is not None:
-        return direct_clique_certificate(g, peo_max_clique(g, peo))
-    return _hole_free(g)
-
-
-def _hole_free(g: Graph) -> ImmersionCertificate:
-    """The check-and-build of ``hole_free_immersion``: the build's one scan
-    is the precondition test, so at independence 2 this is also the C4
-    route, and only an induced C4 makes it raise ``PreconditionError``.  A
-    complete graph is taken directly, without a scan."""
-    if g.is_clique(g.vertex_mask):
-        return direct_clique_certificate(g, range(g.n))
     try:
         return _hole_free_build(g, g.vertex_mask)
     except ClaimViolation as exc:
@@ -256,19 +245,19 @@ def _short_hole(hole: tuple[int, ...], alpha: int) -> PreconditionError:
 
 
 def _hole_free_build(g: Graph, live: int) -> ImmersionCertificate:
-    """The construction of ``hole_free_immersion`` on ``live``.  One scan
-    over [4, |live|] finds the least hole: an even one holds half its length
-    in independent vertices, failing the precondition; an odd one is built
-    around.  At independence 2 the scan is exactly "no induced C4"."""
-    hole = find_hole_in_range(g, 4, max(4, live.bit_count()), live)
-    if hole is not None and len(hole) % 2 == 0:
-        raise _short_hole(hole, len(hole) // 2)
-    if hole is None:
-        peo = chordal_peo(g, live)
-        if peo is None:
-            raise ClaimViolation(
-                "graph with no holes at all must be chordal", graph=g)
+    """The construction of ``hole_free_immersion`` on ``live``.  A chordal
+    live set gives the clique read off its perfect elimination order.
+    Otherwise one scan over [4, |live|] finds the least hole: an even one
+    holds half its length in independent vertices, failing the
+    precondition; an odd one is built around."""
+    peo = chordal_peo(g, live)
+    if peo is not None:
         return direct_clique_certificate(g, peo_max_clique(g, peo))
+    hole = find_hole_in_range(g, 4, max(4, live.bit_count()), live)
+    if hole is None:
+        raise AssertionError("the chordality test failed, yet the hole scan finds no hole")
+    if len(hole) % 2 == 0:
+        raise _short_hole(hole, len(hole) // 2)
     bags, universal = _decompose_around_hole(g, hole, live)
     try:
         inflation._validate_cycle_bags(g, bags, live & ~mask_of(universal))
@@ -775,12 +764,13 @@ def _k4minus_build(g: Graph, keep: int | None = None
 # -- one excluded 4-vertex pattern: the ceil(n/2) bound --------------------------------------
 
 
-#: The builder for each excluded 4-vertex pattern; it assumes independence
-#: <= 2, which its caller has checked, and the pattern's absence, which its
-#: caller has checked too except for C4: the hole-free route's own scan tests
-#: that, and raises ``PreconditionError`` on an induced C4.
+#: The builder for each excluded 4-vertex pattern, returning order exactly
+#: ceil(n/2); it assumes independence <= 2, which its caller has checked, and
+#: the pattern's absence, which its caller has checked too except for C4: the
+#: hole-free route's own scan tests that, and raises ``PreconditionError`` on
+#: an induced C4.
 _PATTERN_BUILDERS: dict[str, Callable[[Graph], ImmersionCertificate]] = {
-    "C4": _hole_free,
+    "C4": lambda g: trim_certificate(hole_free_immersion(g), half_ceil(g.n)),
     "P4": _house_free_inner,
     "paw": _house_free_inner,
     "twoK2": _owh_free_inner,
@@ -798,8 +788,7 @@ def pattern_free_immersion(g: Graph, pattern_name: str) -> ImmersionCertificate:
     house-free (the house contains both); twoK2- or K3v-free graphs avoid the
     triangle-with-tail (it contains both); K4-minus-free graphs split into
     two cliques (a plain 5-cycle excepted); K4-free graphs have n <= 8 and go
-    to the exhaustive oracle.  The result is trimmed to exactly ceil(n/2)
-    and re-verified before returning.
+    to the exhaustive oracle.  The result has order exactly ceil(n/2).
     """
     if pattern_name not in FOUR_VERTEX_PATTERNS:
         raise ValueError(
@@ -807,17 +796,7 @@ def pattern_free_immersion(g: Graph, pattern_name: str) -> ImmersionCertificate:
     _require_alpha_at_most_two(g)
     if pattern_name != "C4":
         _require_pattern_free(g, pattern_name)
-    return _pattern_free_build(g, pattern_name)
-
-
-def _pattern_free_build(g: Graph, pattern_name: str) -> ImmersionCertificate:
-    """The pattern's builder, trimmed to ceil(n/2) and re-verified."""
-    cert = trim_certificate(_PATTERN_BUILDERS[pattern_name](g), half_ceil(g.n))
-    # Kept: a bad build is an internal bug (exit 5), not a verdict on the input (exit 1).
-    verdict = verify_certificate(g, cert)
-    if not verdict.ok:
-        raise AssertionError(f"constructed certificate failed verification: {verdict}")
-    return cert
+    return _PATTERN_BUILDERS[pattern_name](g)
 
 
 def auto_immersion(g: Graph) -> tuple[str, ImmersionCertificate]:
@@ -830,12 +809,12 @@ def auto_immersion(g: Graph) -> tuple[str, ImmersionCertificate]:
     """
     _require_alpha_at_most_two(g)
     try:
-        return "vergara:C4", _pattern_free_build(g, "C4")
+        return "vergara:C4", _PATTERN_BUILDERS["C4"](g)
     except PreconditionError:
         pass  # at independence <= 2, only an induced C4 raises this
     for name in FOUR_VERTEX_PATTERNS[1:]:
         if find_induced(g, pattern(name)) is None:
-            return f"vergara:{name}", _pattern_free_build(g, name)
+            return f"vergara:{name}", _PATTERN_BUILDERS[name](g)
     budget = OracleBudget()
     if g.n <= budget.max_n:
         _t, cert = max_immersion_order(g, budget)

@@ -8,8 +8,12 @@ import json
 import pytest
 
 import immlab.cli as cli
-from immlab import analysis, construct
-from immlab.certificates import certificate_from_json, certificate_to_json
+from immlab import analysis, certificates, construct
+from immlab.certificates import (
+    ImmersionCertificate,
+    certificate_from_json,
+    certificate_to_json,
+)
 from immlab.errors import BudgetExceeded, ClaimViolation, PreconditionError
 from immlab.gen import random_alpha2, random_hfree_alpha2
 from immlab.graphs import (
@@ -21,6 +25,8 @@ from immlab.graphs import (
     pattern,
 )
 from immlab.inflation import inflate
+
+from conftest import p4_free_join
 
 
 def run(capsys, argv):
@@ -424,6 +430,59 @@ def test_internal_error_writes_a_crash_sidecar(tmp_path, capsys, monkeypatch):
     assert doc["command"] == "solve" and doc["input"] == str(path)
     assert doc["traceback"].startswith("Traceback")
     assert doc["traceback"].rstrip().endswith("RuntimeError: synthetic bug")
+
+
+def broken(cert):
+    """``cert`` with the walk of its lowest pair cut to one vertex."""
+    key = min(cert.paths)
+    return ImmersionCertificate(cert.host_hash, cert.branch,
+                                {**cert.paths, key: key[:1]})
+
+
+@pytest.mark.parametrize("method", cli.METHOD_TOKENS)
+def test_solve_exits_internal_when_its_certificate_fails(tmp_path, capsys, monkeypatch,
+                                                         method):
+    """A route's bad certificate is a bug in immlab, not a verdict on the
+    input: ``solve`` exits 5 with a crash sidecar naming the verdict."""
+    g = p4_free_join(8) if method == "vergara:P4" else cycle_graph(5)
+    path = tmp_path / "g.json"
+    path.write_text(g.to_json())
+    if method == "auto":
+        real_auto = cli.auto_immersion
+
+        def auto(g):
+            token, cert = real_auto(g)
+            return token, broken(cert)
+        monkeypatch.setattr(cli, "auto_immersion", auto)
+    else:
+        real_route = cli.METHODS[method]
+
+        def route(g):
+            cert, parts = real_route(g)
+            return broken(cert), parts
+        monkeypatch.setitem(cli.METHODS, method, route)
+    code, out, err = run(capsys, ["solve", "--method", method, str(path)])
+    assert code == cli.EXIT_INTERNAL and out == ""
+    assert "constructed certificate failed verification" in err
+    doc = json.loads((tmp_path / "g.json.crash.json").read_text())
+    assert doc["command"] == "solve" and doc["input"] == str(path)
+    assert "reason='condition-I'" in doc["traceback"]
+
+
+def test_solve_verifies_its_certificate_once(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "g.json"
+    path.write_text(p4_free_join(16).to_json())
+    calls = []
+
+    def counting(g, cert):
+        calls.append(cert)
+        return certificates.verify_certificate(g, cert)
+    monkeypatch.setattr(cli, "verify_certificate", counting)
+    # construct imports no verifier; one bound there would be counted too.
+    monkeypatch.setattr(construct, "verify_certificate", counting, raising=False)
+    code, out, _ = run(capsys, ["solve", "--method", "vergara:P4", str(path)])
+    assert code == 0 and json.loads(out)["order"] == 8
+    assert len(calls) == 1
 
 
 def test_internal_error_on_stdin_writes_crash_json(tmp_path, capsys, monkeypatch):

@@ -678,13 +678,22 @@ def test_c4_route_names_the_hole_and_auto_moves_on():
     checked(g, cert, 3)
 
 
+def overlapping_cliques(size, shared):
+    """Two K_size sharing ``shared`` vertices: chordal, alpha = 2."""
+    second = range(size - shared, 2 * size - shared)
+    return Graph.from_edges(2 * size - shared, sorted({*combinations(range(size), 2),
+                                                       *combinations(second, 2)}))
+
+
 def test_c4_route_takes_a_complete_graph_without_a_hole_scan(monkeypatch):
-    g = complete_graph(40)
+    """The chordality test comes first: a chordal host, complete or not, is
+    taken by its PEO clique without a hole scan."""
     counts = count_calls(monkeypatch, construct, "find_hole_in_range")
-    token, cert = auto_immersion(g)
-    assert token == "vergara:C4"
-    checked(g, cert, 20)
-    checked(g, pattern_free_immersion(g, "C4"), 20)
+    for g in (complete_graph(40), overlapping_cliques(20, 5)):
+        token, cert = auto_immersion(g)
+        assert token == "vergara:C4"
+        checked(g, cert, half_ceil(g.n))
+        checked(g, pattern_free_immersion(g, "C4"), half_ceil(g.n))
     assert counts["find_hole_in_range"] == 0
 
 
